@@ -1,7 +1,7 @@
 //! Performance sweep: measures the campaign hot paths serial vs parallel
 //! and writes the machine-readable `BENCH_sweep.json` at the repo root.
 //!
-//! Four measurements:
+//! Five measurements:
 //!
 //! 1. **fig5b snapshot sweep** — the fig5b candidate sweep across all five
 //!    layers, evaluated once by naive full replay and once through the
@@ -18,6 +18,9 @@
 //!    (`forward_naive`, kept as the exactness oracle).
 //! 4. **grid step** — the spatial PDN step in the settled state (where the
 //!    early-exit fires after one sweep) vs mid-transient (all sweeps run).
+//! 5. **cosim cycle** — host nanoseconds per victim cycle of an unarmed
+//!    LeNet `run_inference` (the campaign benchmark's
+//!    `cosim.host_ns_per_cycle`), fastest of a few rounds.
 //!
 //! Grid sizes honour `DEEPSTRIKE_PERF_SNAP_POINTS`,
 //! `DEEPSTRIKE_PERF_SLICE_POINTS` and `DEEPSTRIKE_PERF_IMAGES` so CI can
@@ -298,6 +301,28 @@ fn main() {
             .metric("transient_ns", transient_s / GRID_ITERS as f64 * 1e9)
             .metric("settled_ns", settled_s / GRID_ITERS as f64 * 1e9)
             .metric("early_exit_speedup", grid_speedup),
+    );
+
+    // --- cosim cycle: host time per victim cycle of an unarmed run --------
+    const COSIM_ROUNDS: usize = 3;
+    let cycles = fpga.schedule().total_cycles();
+    let run_s = (0..COSIM_ROUNDS)
+        .map(|_| {
+            let mut unarmed = fpga.clone();
+            seconds(|| {
+                std::hint::black_box(unarmed.run_inference());
+            })
+        })
+        .fold(f64::INFINITY, f64::min);
+    let ns_per_cycle = run_s / cycles as f64 * 1e9;
+    println!(
+        "cosim_cycle/lenet: {ns_per_cycle:.0}ns per victim cycle \
+         ({cycles} cycles, fastest of {COSIM_ROUNDS})"
+    );
+    report.push(
+        SweepEntry::new("cosim_cycle/lenet")
+            .metric("cycles", cycles as f64)
+            .metric("ns_per_cycle", ns_per_cycle),
     );
 
     let path = {

@@ -22,14 +22,14 @@ use std::collections::VecDeque;
 use accel::power::ActivityModel;
 use accel::schedule::{AccelConfig, Schedule};
 use dnn::quant::QuantizedNetwork;
-use pdn::grid::{GridParams, NodeId, SpatialPdn};
+use pdn::grid::{GridParams, Probe, SpatialPdn};
 use pdn::rlc::LumpedPdn;
 use pdn::thermal::ThermalModel;
 use uart::proto::StatusInfo;
 use uart::session::ShellHandler;
 
 use crate::detector::{DetectorConfig, StartDetector};
-use crate::error::Result;
+use crate::error::{DeepStrikeError, Result};
 use crate::scheduler::AttackScheduler;
 use crate::signal_ram::{AttackScheme, SignalRam};
 use crate::striker::StrikerBank;
@@ -65,6 +65,33 @@ impl Default for CosimConfig {
             trace_capacity: 1 << 20,
             relax_sweeps: 2,
         }
+    }
+}
+
+impl CosimConfig {
+    /// Checks the fields the cycle loop divides by or sizes buffers with
+    /// (the mesh validates `relax_sweeps`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeepStrikeError::InvalidConfig`] for a non-finite or
+    /// non-positive `victim_clock_mhz`, or a zero `pdn_substeps` or
+    /// `trace_capacity`.
+    pub(crate) fn validate(&self) -> Result<()> {
+        let invalid = |msg: String| Err(DeepStrikeError::InvalidConfig(msg));
+        if !(self.victim_clock_mhz.is_finite() && self.victim_clock_mhz > 0.0) {
+            return invalid(format!(
+                "victim_clock_mhz must be finite and positive, got {}",
+                self.victim_clock_mhz
+            ));
+        }
+        if self.pdn_substeps == 0 {
+            return invalid("pdn_substeps must be at least 1".into());
+        }
+        if self.trace_capacity == 0 {
+            return invalid("trace_capacity must be at least 1".into());
+        }
+        Ok(())
     }
 }
 
@@ -118,13 +145,14 @@ pub struct CloudFpga {
     pub(crate) schedule: Schedule,
     pub(crate) activity: ActivityModel,
     pub(crate) pdn: SpatialPdn,
-    pub(crate) victim_node: NodeId,
-    pub(crate) attacker_node: NodeId,
+    pub(crate) victim_probe: Probe,
+    pub(crate) attacker_probe: Probe,
     pub(crate) tdc: TdcSensor,
     pub(crate) striker: StrikerBank,
     pub(crate) scheduler: AttackScheduler,
     pub(crate) thermal: ThermalModel,
-    pub(crate) bystanders: Vec<Bystander>,
+    /// Background tenants with their mesh nodes.
+    pub(crate) bystanders: Vec<(Bystander, Probe)>,
     pub(crate) trace_buf: VecDeque<u8>,
 }
 
@@ -144,20 +172,25 @@ impl CloudFpga {
     ///
     /// # Errors
     ///
-    /// Propagates TDC calibration and striker configuration failures.
+    /// Returns [`DeepStrikeError::InvalidConfig`] for a bad [`CosimConfig`]
+    /// and propagates mesh, TDC calibration and striker configuration
+    /// failures.
     pub fn new(
         victim: &QuantizedNetwork,
         accel_config: &AccelConfig,
         striker_cells: usize,
         config: CosimConfig,
     ) -> Result<Self> {
+        config.validate()?;
         let schedule = Schedule::for_network(victim, accel_config);
         let pdn = SpatialPdn::new(
             LumpedPdn::zynq_like(),
             GridParams { sweeps: config.relax_sweeps, ..GridParams::default() },
         )?;
-        let victim_node = pdn.node_at_fraction(config.victim_pos.0, config.victim_pos.1);
-        let attacker_node = pdn.node_at_fraction(config.attacker_pos.0, config.attacker_pos.1);
+        let victim_probe =
+            pdn.probe(pdn.node_at_fraction(config.victim_pos.0, config.victim_pos.1))?;
+        let attacker_probe =
+            pdn.probe(pdn.node_at_fraction(config.attacker_pos.0, config.attacker_pos.1))?;
         let tdc = TdcSensor::calibrated(TdcConfig::default(), 100.0, config.tdc_target)?;
         let striker = StrikerBank::new(striker_cells)?;
         // Two RAMB36s: campaigns that target late layers (e.g. 4,500
@@ -171,8 +204,8 @@ impl CloudFpga {
             schedule,
             activity: ActivityModel::default(),
             pdn,
-            victim_node,
-            attacker_node,
+            victim_probe,
+            attacker_probe,
             tdc,
             striker,
             scheduler,
@@ -203,20 +236,29 @@ impl CloudFpga {
     }
 
     /// Adds a background tenant (multi-tenant extension).
-    pub fn add_bystander(&mut self, bystander: Bystander) {
-        self.bystanders.push(bystander);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeepStrikeError::InvalidConfig`] when `amps` is negative
+    /// or non-finite.
+    pub fn add_bystander(&mut self, bystander: Bystander) -> Result<()> {
+        if !(bystander.amps.is_finite() && bystander.amps >= 0.0) {
+            return Err(DeepStrikeError::InvalidConfig(format!(
+                "bystander draw must be finite and non-negative, got {} A",
+                bystander.amps
+            )));
+        }
+        let node = self.pdn.node_at_fraction(bystander.pos.0, bystander.pos.1);
+        self.bystanders.push((bystander, self.pdn.probe(node)?));
+        Ok(())
     }
 
     /// Lets the PDN settle at idle load for `cycles` victim cycles.
     pub fn settle(&mut self, cycles: u64) {
         let dt = self.substep_dt();
         for _ in 0..cycles {
-            self.pdn
-                .inject(self.victim_node, self.activity.idle)
-                .expect("victim node is on the mesh");
-            for _ in 0..self.config.pdn_substeps {
-                self.pdn.step(dt);
-            }
+            self.pdn.set_load(self.victim_probe, self.activity.idle);
+            self.pdn.step_cycle(dt, self.config.pdn_substeps, [], |_, _| {});
         }
     }
 
@@ -265,30 +307,25 @@ impl CloudFpga {
             rec.strike_cycles.push(cycle);
         }
         // Inject all loads at their mesh nodes.
-        self.pdn.inject(self.victim_node, i_victim).expect("victim node is on the mesh");
-        let v_att_now =
-            self.pdn.voltage_at(self.attacker_node).expect("attacker node is on the mesh");
+        self.pdn.set_load(self.victim_probe, i_victim);
+        let v_att_now = self.pdn.probe_voltage(self.attacker_probe);
         self.striker.set_enabled(enable);
         let i_striker = self.striker.current_a(v_att_now);
-        self.pdn.inject(self.attacker_node, i_striker).expect("attacker node is on the mesh");
-        for (k, b) in self.bystanders.iter().enumerate() {
+        self.pdn.set_load(self.attacker_probe, i_striker);
+        for &(b, at) in &self.bystanders {
             let on = (cycle / (b.period_cycles / 2).max(1)).is_multiple_of(2);
-            let node = self.pdn.node_at_fraction(b.pos.0, b.pos.1);
-            let _ = k;
-            self.pdn
-                .inject(node, if on { b.amps } else { 0.0 })
-                .expect("bystander node is on the mesh");
+            self.pdn.set_load(at, if on { b.amps } else { 0.0 });
         }
 
-        // Advance the mesh; sample TDC mid-cycle and at cycle end.
+        // Advance the mesh one cycle; sample TDC mid-cycle and at cycle end.
+        let probes = [self.victim_probe, self.attacker_probe];
         let mut v_victim_min = f64::INFINITY;
-        for s in 0..substeps {
-            self.pdn.step(dt);
-            let vv = self.pdn.voltage_at(self.victim_node).expect("victim node is on the mesh");
+        // The victim rail after the last substep.
+        let mut v_now = f64::NAN;
+        self.pdn.step_cycle(dt, substeps, probes, |s, [vv, va]| {
             v_victim_min = v_victim_min.min(vv);
+            v_now = vv;
             if (s + 1) % tdc_every == 0 {
-                let va =
-                    self.pdn.voltage_at(self.attacker_node).expect("attacker node is on the mesh");
                 let reading = self.tdc.sample(va);
                 rec.tdc_trace.push(reading.count);
                 if self.trace_buf.len() == self.config.trace_capacity {
@@ -297,11 +334,10 @@ impl CloudFpga {
                 self.trace_buf.push_back(reading.count);
                 rec.last_raw = Some(reading.raw);
             }
-        }
+        });
         rec.victim_voltage.push(v_victim_min);
 
         // Thermal integration (victim + striker dissipation).
-        let v_now = self.pdn.voltage_at(self.victim_node).expect("victim node is on the mesh");
         let power = i_victim * v_now + self.striker.power_w(v_now);
         self.thermal.step(power, dt * substeps as f64);
         if let Some(powers) = rec.powers.as_mut() {
@@ -341,8 +377,8 @@ impl CloudFpga {
             && self.schedule == other.schedule
             && self.activity == other.activity
             && self.pdn == other.pdn
-            && self.victim_node == other.victim_node
-            && self.attacker_node == other.attacker_node
+            && self.victim_probe == other.victim_probe
+            && self.attacker_probe == other.attacker_probe
             && self.tdc == other.tdc
             && self.striker == other.striker
             && self.scheduler == other.scheduler
@@ -444,6 +480,47 @@ mod tests {
         .unwrap();
         fpga.settle(50);
         fpga
+    }
+
+    /// Builds the small platform with `config`, returning the error.
+    fn build_err(config: CosimConfig) -> DeepStrikeError {
+        let net = mlp(&mut StdRng::seed_from_u64(0));
+        let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
+        CloudFpga::new(&q, &AccelConfig::default(), 8_000, config).unwrap_err()
+    }
+
+    #[test]
+    fn zero_pdn_substeps_is_rejected() {
+        let err = build_err(CosimConfig { pdn_substeps: 0, ..CosimConfig::default() });
+        assert!(matches!(err, DeepStrikeError::InvalidConfig(ref m) if m.contains("pdn_substeps")));
+    }
+
+    #[test]
+    fn zero_trace_capacity_is_rejected() {
+        let err = build_err(CosimConfig { trace_capacity: 0, ..CosimConfig::default() });
+        assert!(
+            matches!(err, DeepStrikeError::InvalidConfig(ref m) if m.contains("trace_capacity"))
+        );
+    }
+
+    #[test]
+    fn bad_victim_clock_is_rejected() {
+        for mhz in [0.0, -100.0, f64::NAN, f64::INFINITY] {
+            let err = build_err(CosimConfig { victim_clock_mhz: mhz, ..CosimConfig::default() });
+            let named = matches!(err, DeepStrikeError::InvalidConfig(ref m) if m.contains("clock"));
+            assert!(named, "{mhz} MHz: {err}");
+        }
+        assert!(CosimConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn bad_bystander_draw_is_rejected() {
+        let mut fpga = small_platform(8_000);
+        for amps in [-0.5, f64::NAN, f64::INFINITY] {
+            let b = Bystander { pos: (0.5, 0.2), amps, period_cycles: 64 };
+            assert!(matches!(fpga.add_bystander(b), Err(DeepStrikeError::InvalidConfig(_))));
+        }
+        assert!(fpga.bystanders.is_empty());
     }
 
     #[test]
@@ -593,7 +670,7 @@ mod tests {
         let mut quiet = small_platform(8_000);
         let quiet_run = quiet.run_inference();
         let mut busy = small_platform(8_000);
-        busy.add_bystander(Bystander { pos: (0.5, 0.2), amps: 1.0, period_cycles: 64 });
+        busy.add_bystander(Bystander { pos: (0.5, 0.2), amps: 1.0, period_cycles: 64 }).unwrap();
         let busy_run = busy.run_inference();
         let mean =
             |r: &InferenceRun| r.victim_voltage.iter().sum::<f64>() / r.victim_voltage.len() as f64;

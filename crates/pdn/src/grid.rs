@@ -78,6 +78,76 @@ pub struct NodeId {
     pub y: usize,
 }
 
+/// A mesh node resolved to its storage index by [`SpatialPdn::probe`].
+/// Valid on the mesh it was resolved on and on its clones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Probe(usize);
+
+/// Substeps [`SpatialPdn::step_cycle`] relaxes per wavefront; their probe
+/// voltages are buffered on the stack.
+const SUBSTEP_CHUNK: usize = 16;
+
+/// Sweeps per wavefront batch: one `u64` holds their changed flags.
+const CHANGED_BITS: usize = 64;
+
+/// One time step of the relaxation wavefront: updates node `i` (column
+/// `x`) for the first of `sweeps`, node `i - (nx + 1)` for the next, and
+/// so on. Returns the sweeps' changed flags, bit `k` for sweep `k`.
+///
+/// Each update is the sequential Gauss–Seidel one: neighbour current in
+/// left/right/up/down order (see [`edge_flow`] for mesh-edge nodes), then
+/// `(flow − i_inj) / g_sum`.
+fn wavefront_step(
+    delta: &mut [f64],
+    inj: &[f64],
+    g_sum: &[f64],
+    (mut i, mut x): (usize, usize),
+    sweeps: std::ops::Range<usize>,
+    nx: usize,
+    gm: f64,
+) -> u64 {
+    let n = delta.len();
+    let (inj, g_sum) = (&inj[..n], &g_sum[..n]);
+    // Interior nodes: columns 1..nx-1 of rows 1..ny-1.
+    let (inner_cols, inner_span) = (nx.saturating_sub(2), n.saturating_sub(2 * nx));
+    let mut changed = 0u64;
+    for k in sweeps {
+        let flow = if x.wrapping_sub(1) < inner_cols && i.wrapping_sub(nx) < inner_span {
+            let w = &delta[i - nx..=i + nx];
+            gm * w[nx - 1] + gm * w[nx + 1] + gm * w[0] + gm * w[2 * nx]
+        } else {
+            edge_flow(delta, i, x, nx, gm)
+        };
+        let v = (flow - inj[i]) / g_sum[i];
+        changed |= u64::from(v.to_bits() != delta[i].to_bits()) << k;
+        delta[i] = v;
+        i = i.wrapping_sub(nx + 1);
+        x = if x == 0 { nx - 1 } else { x - 1 };
+    }
+    changed
+}
+
+/// Neighbour current into mesh-edge node `i` (column `x`): `0.0 +` each
+/// present neighbour in left/right/up/down order. Interior nodes skip the
+/// leading `0.0 +`; the two forms are bit-identical, as the
+/// `reference_relax` oracle test checks.
+fn edge_flow(delta: &[f64], i: usize, x: usize, nx: usize, gm: f64) -> f64 {
+    let mut flow = 0.0;
+    if x > 0 {
+        flow += gm * delta[i - 1];
+    }
+    if x + 1 < nx {
+        flow += gm * delta[i + 1];
+    }
+    if i >= nx {
+        flow += gm * delta[i - nx];
+    }
+    if i + nx < delta.len() {
+        flow += gm * delta[i + nx];
+    }
+    flow
+}
+
 /// Spatial PDN: lumped transient backbone + resistive mesh.
 ///
 /// # Example
@@ -177,8 +247,8 @@ impl SpatialPdn {
         if !(amps.is_finite() && amps >= 0.0) {
             return Err(PdnError::InvalidParameter { name: "amps", value: amps });
         }
-        let i = self.index(node)?;
-        self.i_inj[i] = amps;
+        let at = self.probe(node)?;
+        self.set_load(at, amps);
         Ok(())
     }
 
@@ -192,13 +262,76 @@ impl SpatialPdn {
         self.i_inj.iter().sum()
     }
 
+    /// Resolves `node` to a [`Probe`] once, so per-cycle loads and
+    /// readouts skip the coordinate check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PdnError::OutOfRange`] for coordinates off the mesh.
+    pub fn probe(&self, node: NodeId) -> Result<Probe> {
+        self.index(node).map(Probe)
+    }
+
+    /// Sets the current drawn at a resolved node (amps); replaces any
+    /// previous value for that node. `amps` must be finite and
+    /// non-negative: [`SpatialPdn::inject`] is the checked form for
+    /// untrusted values.
+    pub fn set_load(&mut self, at: Probe, amps: f64) {
+        debug_assert!(amps.is_finite() && amps >= 0.0, "load current {amps} A");
+        self.i_inj[at.0] = amps;
+    }
+
+    /// Local deviation `δ` at a resolved node in volts (negative where
+    /// the mesh droops below the die rail).
+    pub fn deviation(&self, at: Probe) -> f64 {
+        self.delta[at.0]
+    }
+
+    /// Voltage at a resolved node in volts (`v_die + δ_node`).
+    pub fn probe_voltage(&self, at: Probe) -> f64 {
+        self.lumped.voltage() + self.delta[at.0]
+    }
+
     /// Advances the lumped backbone one step and relaxes the local
     /// deviation field. Returns the die-level (lumped) voltage.
     pub fn step(&mut self, dt: f64) -> f64 {
+        self.step_cycle(dt, 1, [], |_, _| {})
+    }
+
+    /// Advances one victim cycle of `substeps` steps of `dt` under the
+    /// present loads, calling `each(s, volts)` with the voltage at each of
+    /// `probes` after substep `s`, in order. Returns the die-level
+    /// voltage at the end of the cycle.
+    ///
+    /// Bit-identical to `substeps` calls of [`SpatialPdn::step`] with a
+    /// [`SpatialPdn::probe_voltage`] read after each. Loads are constant
+    /// within the call and `δ` depends on neither `dt` nor the lumped
+    /// state, so the backbone steps first and the Gauss–Seidel sweeps of
+    /// up to 16 substeps then run as one pipelined wavefront (see
+    /// `relax`). Allocates nothing.
+    pub fn step_cycle<const P: usize>(
+        &mut self,
+        dt: f64,
+        substeps: usize,
+        probes: [Probe; P],
+        mut each: impl FnMut(usize, [f64; P]),
+    ) -> f64 {
         let total = self.total_load();
-        let v_die = self.lumped.step(total, dt);
-        self.relax();
-        v_die
+        let mut volts = [[0.0; P]; SUBSTEP_CHUNK];
+        let mut done = 0;
+        while done < substeps {
+            let chunk = &mut volts[..(substeps - done).min(SUBSTEP_CHUNK)];
+            for v in chunk.iter_mut() {
+                let v_die = self.lumped.step(total, dt);
+                *v = [v_die; P];
+            }
+            self.relax(probes, chunk);
+            for (s, &v) in chunk.iter().enumerate() {
+                each(done + s, v);
+            }
+            done += chunk.len();
+        }
+        self.lumped.voltage()
     }
 
     /// [`SpatialPdn::step`] with divergence detection and step-halving
@@ -213,7 +346,7 @@ impl SpatialPdn {
     pub fn try_step(&mut self, dt: f64) -> Result<f64> {
         let total = self.total_load();
         let v_die = self.lumped.try_step(total, dt)?;
-        self.relax();
+        self.relax([], &mut [[]]);
         if let Some(bad) = self.delta.iter().copied().find(|d| !d.is_finite()) {
             return Err(PdnError::SolverDiverged { dt, value: bad });
         }
@@ -221,85 +354,104 @@ impl SpatialPdn {
     }
 
     /// Gauss–Seidel relaxation of the local deviation field `δ` around the
-    /// injected currents (`δ = 0` where nothing is drawn).
+    /// injected currents (`δ = 0` where nothing is drawn): `sweeps`
+    /// sweeps for each of the `out.len()` substeps, adding each
+    /// substep's `δ` at `probes` onto the die voltage already in `out`.
     ///
-    /// Optimised form of the original 8-branch-per-node sweep: the
-    /// denominator comes from the precomputed `g_sum` stencil, interior
-    /// nodes run a branch-free inner loop, and the sweep loop exits as
-    /// soon as one full sweep leaves every node bit-unchanged (a
-    /// Gauss–Seidel sweep is a deterministic map, so once it is the
-    /// identity every remaining sweep would be too — results are exactly
-    /// those of always running `params.sweeps` sweeps). Warm-started
-    /// steady states therefore pay for one sweep instead of eight.
-    fn relax(&mut self) {
-        let (nx, ny) = (self.params.nx, self.params.ny);
-        debug_assert_eq!(self.delta.len(), nx * ny);
-        let gm = self.params.g_mesh;
-        for _ in 0..self.params.sweeps {
-            let mut changed = false;
-            for y in 0..ny {
-                let row = y * nx;
-                let up = y > 0;
-                let down = y + 1 < ny;
-                self.relax_node(row, false, nx > 1, up, down, &mut changed);
-                if nx >= 2 {
-                    if up && down {
-                        // Interior rows: all four neighbours exist —
-                        // branch-free flow accumulation in the same
-                        // left/right/up/down order as the general case.
-                        for x in 1..nx - 1 {
-                            let i = row + x;
-                            let flow = gm * self.delta[i - 1]
-                                + gm * self.delta[i + 1]
-                                + gm * self.delta[i - nx]
-                                + gm * self.delta[i + nx];
-                            let v = (flow - self.i_inj[i]) / self.g_sum[i];
-                            changed |= v.to_bits() != self.delta[i].to_bits();
-                            self.delta[i] = v;
-                        }
+    /// The sweeps run as one wavefront: sweep `k + 1` trails sweep `k`
+    /// by `nx + 1` nodes, so when it updates node `i`, sweep `k` has just
+    /// written `i + nx` and sweep `k + 2` has not yet reached `i - 1`.
+    /// Each update thus reads exactly what the sequential sweep reads
+    /// (sweep-`k` values right and below, sweep-`k + 1` values left and
+    /// above) and does the same float operations on the same bits, while
+    /// the ~`nx·ny / (nx + 1)` sweeps in flight overlap their divides.
+    ///
+    /// The loop stops once a completed sweep leaves every node
+    /// bit-unchanged: a sweep is a deterministic map, so every later
+    /// sweep would be the identity too (the partial sweeps behind it
+    /// already rewrote the same bits), and the remaining substeps read
+    /// that fixed point. When the first sweep has changed nothing by the
+    /// time the second would start, the second is held back (any lag of
+    /// at least `nx + 1` is exact) and the first finishes alone, so a
+    /// warm-started steady state pays for one sweep, not also for the
+    /// partial sweeps behind it.
+    fn relax<const P: usize>(&mut self, probes: [Probe; P], out: &mut [[f64; P]]) {
+        let GridParams { nx, ny, g_mesh: gm, sweeps, .. } = self.params;
+        let n = nx * ny;
+        debug_assert_eq!(self.delta.len(), n);
+        let lag = nx + 1;
+        let total = out.len() * sweeps;
+        let delta = &mut self.delta[..n];
+        let (inj, g_sum) = (&self.i_inj[..n], &self.g_sum[..n]);
+        // Time step at which the sweep ending substep `s` writes `probe`,
+        // if that sweep is in the batch of `batch` sweeps from `first`.
+        let record_time = |probe: Probe, s: usize, first: usize, batch: usize| {
+            let k = (s + 1) * sweeps - 1;
+            if k < first + batch {
+                probe.0 + (k - first) * lag
+            } else {
+                usize::MAX
+            }
+        };
+        // The next substep each probe records.
+        let mut next_sub = [0usize; P];
+        let mut first = 0;
+        while first < total {
+            let mut batch = (total - first).min(CHANGED_BITS);
+            let mut record_at: [usize; P] =
+                std::array::from_fn(|j| record_time(probes[j], next_sub[j], first, batch));
+            let mut changed = 0u64;
+            // Batch sweeps `lead..started` are in flight; sweep `lead` is
+            // at node `t - lead_at` with column `lead_x`.
+            let (mut t, mut lead, mut started, mut lead_at, mut lead_x) = (0, 0, 0, 0, 0usize);
+            while lead < batch {
+                if started < batch && t == started * lag {
+                    if started == 1 && changed == 0 {
+                        // Likely a fixed point: the first sweep finishes
+                        // alone and the next batch starts after it.
+                        batch = 1;
+                        record_at =
+                            std::array::from_fn(|j| record_time(probes[j], next_sub[j], first, 1));
                     } else {
-                        for x in 1..nx - 1 {
-                            self.relax_node(row + x, true, true, up, down, &mut changed);
-                        }
+                        started += 1;
                     }
-                    self.relax_node(row + nx - 1, true, false, up, down, &mut changed);
                 }
+                changed |= wavefront_step(
+                    delta,
+                    inj,
+                    g_sum,
+                    (t.wrapping_sub(lead_at), lead_x),
+                    lead..started,
+                    nx,
+                    gm,
+                );
+                for j in 0..P {
+                    if t == record_at[j] {
+                        out[next_sub[j]][j] += delta[probes[j].0];
+                        next_sub[j] += 1;
+                        record_at[j] = record_time(probes[j], next_sub[j], first, batch);
+                    }
+                }
+                if t == lead_at + n - 1 {
+                    if changed & (1u64 << lead) == 0 {
+                        // Fixed point: every remaining substep reads it.
+                        for (j, probe) in probes.iter().enumerate() {
+                            for volts in &mut out[next_sub[j]..] {
+                                volts[j] += delta[probe.0];
+                            }
+                        }
+                        return;
+                    }
+                    lead += 1;
+                    lead_at += lag;
+                    // `lag ≡ 1 (mod nx)`: the next sweep sits one column left.
+                    lead_x = if lead_x == 0 { nx - 1 } else { lead_x - 1 };
+                }
+                lead_x = if lead_x + 1 == nx { 0 } else { lead_x + 1 };
+                t += 1;
             }
-            if !changed {
-                break;
-            }
+            first += batch;
         }
-    }
-
-    /// One Gauss–Seidel node update with explicit neighbour presence.
-    #[inline]
-    fn relax_node(
-        &mut self,
-        i: usize,
-        left: bool,
-        right: bool,
-        up: bool,
-        down: bool,
-        changed: &mut bool,
-    ) {
-        let gm = self.params.g_mesh;
-        let nx = self.params.nx;
-        let mut flow = 0.0;
-        if left {
-            flow += gm * self.delta[i - 1];
-        }
-        if right {
-            flow += gm * self.delta[i + 1];
-        }
-        if up {
-            flow += gm * self.delta[i - nx];
-        }
-        if down {
-            flow += gm * self.delta[i + nx];
-        }
-        let v = (flow - self.i_inj[i]) / self.g_sum[i];
-        *changed |= v.to_bits() != self.delta[i].to_bits();
-        self.delta[i] = v;
     }
 
     /// Voltage at a mesh node in volts (`v_die + δ_node`).
@@ -308,7 +460,7 @@ impl SpatialPdn {
     ///
     /// Returns [`PdnError::OutOfRange`] for coordinates off the mesh.
     pub fn voltage_at(&self, node: NodeId) -> Result<f64> {
-        Ok(self.lumped.voltage() + self.delta[self.index(node)?])
+        Ok(self.probe_voltage(self.probe(node)?))
     }
 
     /// Maps a normalised floorplan position (`0..=1` in both axes) to the
@@ -411,11 +563,24 @@ mod tests {
         }
     }
 
+    /// Asserts two meshes hold bitwise-equal lumped and local state.
+    fn assert_same_bits(a: &SpatialPdn, b: &SpatialPdn, what: &str) {
+        let lumped =
+            |g: &SpatialPdn| (g.lumped.voltage().to_bits(), g.lumped.inductor_current().to_bits());
+        assert!(lumped(a) == lumped(b), "{what}: lumped state differs");
+        for (i, (x, y)) in a.delta.iter().zip(&b.delta).enumerate() {
+            assert!(x.to_bits() == y.to_bits(), "{what} node {i}: {x:e} vs {y:e}");
+        }
+    }
+
     #[test]
     fn fast_relax_is_bit_identical_to_reference() {
         // Transient, steady-state (early-exit) and post-load-change
         // phases must all match the always-8-sweeps reference exactly,
-        // on the default mesh and on degenerate 1-wide/1-tall meshes.
+        // on the default mesh and on degenerate 1-wide/1-tall meshes —
+        // both one substep at a time (`step`) and batched per cycle
+        // (`step_cycle`, probes on opposite corners).
+        const SUBSTEPS: usize = 20;
         for params in [
             GridParams::default(),
             GridParams { nx: 1, ny: 7, ..GridParams::default() },
@@ -423,27 +588,36 @@ mod tests {
             GridParams { nx: 2, ny: 2, ..GridParams::default() },
         ] {
             let mut fast = SpatialPdn::new(LumpedPdn::zynq_like(), params).unwrap();
-            let mut reference = fast.clone();
             let node = NodeId { x: 0, y: params.ny - 1 };
             fast.inject(node, 2.5).unwrap();
-            reference.inject(node, 2.5).unwrap();
+            let mut reference = fast.clone();
+            let mut cycle = fast.clone();
+            let probes = [node, NodeId { x: params.nx - 1, y: 0 }].map(|p| fast.probe(p).unwrap());
+            let mut volts = Vec::new();
             for step in 0..600 {
+                let what = format!("nx={} ny={} step {step}", params.nx, params.ny);
                 if step == 400 {
                     // Mid-run load change re-excites the field.
                     fast.clear_loads();
                     reference.clear_loads();
+                    cycle.clear_loads();
+                }
+                let s = step % SUBSTEPS;
+                if s == 0 {
+                    volts.clear();
+                    cycle.step_cycle(1e-9, SUBSTEPS, probes, |_, v| volts.push(v));
                 }
                 fast.step(1e-9);
                 let v = reference.lumped.step(reference.total_load(), 1e-9);
                 reference_relax(&mut reference);
                 assert!(v.to_bits() == fast.lumped.voltage().to_bits());
-                for (i, (a, b)) in fast.delta.iter().zip(&reference.delta).enumerate() {
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "nx={} ny={} step {step} node {i}: {a:e} vs {b:e}",
-                        params.nx,
-                        params.ny
-                    );
+                assert_same_bits(&fast, &reference, &what);
+                for (j, &p) in probes.iter().enumerate() {
+                    let want = reference.probe_voltage(p);
+                    assert!(volts[s][j].to_bits() == want.to_bits(), "{what} probe {j}");
+                }
+                if s == SUBSTEPS - 1 {
+                    assert_same_bits(&cycle, &reference, &what);
                 }
             }
         }

@@ -2,13 +2,144 @@
 
 use pdn::analysis::{droop_stats, glitch_windows};
 use pdn::delay::DelayModel;
-use pdn::grid::{GridParams, NodeId, SpatialPdn};
+use pdn::grid::{GridParams, NodeId, Probe, SpatialPdn};
 use pdn::rlc::{LumpedPdn, RlcParams};
 use pdn::thermal::{ThermalModel, ThermalParams};
 use pdn::trace::Trace;
 use proptest::prelude::*;
 
+/// Textbook sequential Gauss–Seidel mesh: the lumped backbone plus
+/// `sweeps` full row-major sweeps of `δ` per step, stencil denominators
+/// recomputed per node — the oracle for [`SpatialPdn::step_cycle`].
+struct SequentialMesh {
+    lumped: LumpedPdn,
+    params: GridParams,
+    delta: Vec<f64>,
+    loads: Vec<f64>,
+}
+
+impl SequentialMesh {
+    fn new(params: GridParams) -> Self {
+        let n = params.nx * params.ny;
+        SequentialMesh {
+            lumped: LumpedPdn::zynq_like(),
+            params,
+            delta: vec![0.0; n],
+            loads: vec![0.0; n],
+        }
+    }
+
+    fn step(&mut self, dt: f64) {
+        let GridParams { nx, ny, g_supply, g_mesh: gm, sweeps } = self.params;
+        self.lumped.step(self.loads.iter().sum(), dt);
+        for _ in 0..sweeps {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let i = y * nx + x;
+                    let (mut g_sum, mut flow) = (g_supply, 0.0);
+                    for (present, j) in [
+                        (x > 0, i.wrapping_sub(1)),
+                        (x + 1 < nx, i + 1),
+                        (y > 0, i.wrapping_sub(nx)),
+                        (y + 1 < ny, i + nx),
+                    ] {
+                        if present {
+                            g_sum += gm;
+                            flow += gm * self.delta[j];
+                        }
+                    }
+                    self.delta[i] = (flow - self.loads[i]) / g_sum;
+                }
+            }
+        }
+    }
+}
+
+/// Maps a selector in `0..3` to the first, middle or last index of `len`.
+fn edge_or_middle(sel: usize, len: usize) -> usize {
+    [0, len / 2, len - 1][sel]
+}
+
 proptest! {
+    /// The cycle kernel is bit-identical to `substeps` sequential steps,
+    /// per substep at its probes and in the whole state after each cycle,
+    /// on 1-wide, 1-tall, 2×2, default and random meshes, through load
+    /// changes and a long constant-load stretch that reaches the
+    /// early-exit fixed point (small `g_mesh` converges in a few hundred
+    /// sweeps).
+    #[test]
+    fn cycle_kernel_matches_sequential_gauss_seidel(
+        shape in (0usize..5, 1usize..=9, 1usize..=9),
+        sweeps in 1usize..=8,
+        substeps in 1usize..=12,
+        g_mesh in 1.0f64..150.0,
+        probe_sel in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+        segments in prop::collection::vec((0usize..3, 0usize..3, 0.0f64..4.0, 1usize..20), 1..5),
+        idle_cycles in 0usize..300,
+    ) {
+        let (nx, ny) = match shape.0 {
+            0 => (1, shape.2),
+            1 => (shape.1, 1),
+            2 => (2, 2),
+            3 => (16, 10),
+            _ => (shape.1, shape.2),
+        };
+        let params = GridParams { nx, ny, g_mesh, sweeps, ..GridParams::default() };
+        let mut kernel = SpatialPdn::new(LumpedPdn::zynq_like(), params).unwrap();
+        let mut oracle = SequentialMesh::new(params);
+        let node = |(sx, sy): (usize, usize)| {
+            NodeId { x: edge_or_middle(sx, nx), y: edge_or_middle(sy, ny) }
+        };
+        let probe_nodes = [(probe_sel.0, probe_sel.1), (probe_sel.2, probe_sel.3)].map(node);
+        let probes = probe_nodes.map(|p| kernel.probe(p).unwrap());
+        let every_node: Vec<Probe> =
+            (0..nx * ny).map(|i| kernel.probe(NodeId { x: i % nx, y: i / nx }).unwrap()).collect();
+        let mut volts = Vec::new();
+        let load_changes = segments
+            .iter()
+            .map(|&(sx, sy, amps, cycles)| (Some((node((sx, sy)), amps)), cycles))
+            .chain([(None, idle_cycles)]);
+        for (segment, (load, cycles)) in load_changes.enumerate() {
+            if let Some((at, amps)) = load {
+                kernel.inject(at, amps).unwrap();
+                oracle.loads[at.y * nx + at.x] = amps;
+            }
+            for _ in 0..cycles {
+                volts.clear();
+                kernel.step_cycle(1e-9, substeps, probes, |s, v| {
+                    assert_eq!(s, volts.len(), "substeps arrive in order");
+                    volts.push(v);
+                });
+                for (s, got) in volts.iter().enumerate() {
+                    oracle.step(1e-9);
+                    for (j, p) in probe_nodes.iter().enumerate() {
+                        let want = oracle.lumped.voltage() + oracle.delta[p.y * nx + p.x];
+                        prop_assert_eq!(
+                            got[j].to_bits(),
+                            want.to_bits(),
+                            "segment {} substep {} probe {}",
+                            segment,
+                            s,
+                            j
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    kernel.lumped().voltage().to_bits(),
+                    oracle.lumped.voltage().to_bits()
+                );
+                prop_assert_eq!(
+                    kernel.lumped().inductor_current().to_bits(),
+                    oracle.lumped.inductor_current().to_bits()
+                );
+                for (i, &p) in every_node.iter().enumerate() {
+                    let (got, want) = (kernel.deviation(p), oracle.delta[i]);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "node {}", i);
+                }
+            }
+        }
+    }
+
     /// The settled operating point is exactly Vdd − I·R for any load.
     #[test]
     fn settle_is_ir_drop(i_load in 0.0f64..5.0, r in 0.005f64..0.2) {
