@@ -3,10 +3,10 @@
 //! This executor replays the exact MAC-level arithmetic of
 //! [`dnn::quant::QuantizedNetwork`] (the two agree bit-for-bit when no
 //! faults fire — see the integration tests) while consulting a [`MacHook`]
-//! on every multiply. The hook decides, per op, whether the DSP captured
-//! the correct product, a stale one (duplication fault) or garbage (random
-//! fault); the attack crate supplies hooks driven by its strike schedule,
-//! and tests use [`FixedRateHook`].
+//! on every multiply the hook marks live. The hook decides, per op,
+//! whether the DSP captured the correct product, a stale one (duplication
+//! fault) or garbage (random fault); the attack crate supplies hooks driven
+//! by its strike schedule, and tests use [`FixedRateHook`].
 //!
 //! Fault semantics follow §IV-A of the paper:
 //!
@@ -22,7 +22,9 @@
 //! [`pool_fault_model`]), so strikes timed into `pool1` mostly waste
 //! themselves — visible in the reproduced Fig. 5b.
 
-use dnn::quant::{Activation, CodeMap, QConv, QDense, QLayer, QuantizedNetwork};
+use std::ops::Range;
+
+use dnn::quant::{argmax, CodeMap, QConv, QDense, QLayer, QuantizedNetwork};
 use dnn::tensor::Tensor;
 use rand::Rng;
 
@@ -36,6 +38,17 @@ pub trait MacHook {
     /// of the DSP's critical path (see
     /// [`FaultModel::path_scale`](crate::fault::FaultModel::path_scale)).
     fn fault(&mut self, stage_index: usize, op_index: u64, weight: i8, activation: i8) -> MacFault;
+
+    /// The ops of stage `stage_index` that [`infer_with_faults`] consults
+    /// [`Self::fault`] for, as sorted, disjoint, half-open op ranges
+    /// (clipped to the stage's op count). Leaving an op out must be
+    /// indistinguishable from asking about it: the hook would have
+    /// answered [`MacFault::None`] without touching its own state. The
+    /// default is every op.
+    fn live_ops(&self, stage_index: usize) -> Vec<Range<u64>> {
+        let _ = stage_index;
+        std::iter::once(0..u64::MAX).collect()
+    }
 }
 
 /// A hook that never faults (reference behaviour).
@@ -107,6 +120,14 @@ impl AppliedFaults {
 /// Runs one inference with fault injection; returns the final-stage
 /// accumulators (full-precision logits) and the applied-fault tally.
 ///
+/// Each DSP stage computes its clean accumulators, then visits only the
+/// hook's [live ops](MacHook::live_ops), in op order, adding each fault's
+/// correction to the output it lands in. Because a skipped op is one the
+/// hook answers with [`MacFault::None`] without drawing, and the i32 sums
+/// are exact, the result is bit-identical to consulting the hook on every
+/// multiply (the per-MAC [`infer_with_faults_naive`] oracle), including the
+/// order of `mac_fault` trace events.
+///
 /// # Panics
 ///
 /// Panics if `input` does not match the network's input shape.
@@ -120,175 +141,194 @@ pub fn infer_with_faults(
     let mut tally = AppliedFaults::default();
     let last = net.layers().len() - 1;
     for (stage_index, stage) in net.layers().iter().enumerate() {
-        match stage {
-            QLayer::Conv(c) => {
-                map = run_conv(net, c, &map, stage_index, hook, rng, &mut tally);
-            }
-            QLayer::MaxPool { window, .. } => {
-                // Pool comparators do not share the DSP timing; strikes at
-                // attack-level droop cannot fault them, so the hook is not
-                // consulted (see `pool_fault_model` for the margin).
+        let (mut accs, shape, activation, macs) = match stage {
+            // Pool comparators do not share the DSP timing; strikes at
+            // attack-level droop cannot fault them, so the hook is not
+            // consulted (see `pool_fault_model` for the margin).
+            QLayer::MaxPool { .. } => {
                 map = net.run_stage(stage, &map);
-                let _ = window;
+                continue;
             }
+            QLayer::Conv(c) => (
+                c.accumulate(&map),
+                c.output_shape(&map.shape).to_vec(),
+                c.activation,
+                Macs::conv(c, &map),
+            ),
             QLayer::Dense(d) => {
-                let accs = run_dense(d, &map, stage_index, hook, rng, &mut tally);
-                if stage_index == last {
-                    return (accs, tally);
-                }
-                let codes = accs
-                    .iter()
-                    .map(|&acc| match d.activation {
-                        Activation::Tanh => net.tanh_code(acc),
-                        Activation::None => {
-                            (acc as f32 / net.format().scale()).round().clamp(-128.0, 127.0) as i8
-                        }
-                    })
-                    .collect();
-                map = CodeMap { shape: vec![d.outputs], codes };
+                (d.accumulate(&map), vec![d.outputs], d.activation, Macs::dense(d, &map))
             }
+        };
+        patch_live_ops(stage_index, &macs, &mut accs, hook, rng, &mut tally);
+        if stage_index == last && matches!(stage, QLayer::Dense(_)) {
+            return (accs, tally);
         }
+        let codes = accs.into_iter().map(|acc| net.activate(acc, activation)).collect();
+        map = CodeMap { shape, codes };
     }
     (map.codes.iter().map(|&c| i32::from(c)).collect(), tally)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_conv(
-    net: &QuantizedNetwork,
-    c: &QConv,
-    input: &CodeMap,
-    stage_index: usize,
-    hook: &mut dyn MacHook,
-    rng: &mut impl Rng,
-    tally: &mut AppliedFaults,
-) -> CodeMap {
-    assert_eq!(input.shape[0], c.in_channels, "conv input channels");
-    let (h, w) = (input.shape[1], input.shape[2]);
-    let (oh, ow) = (h - c.kernel + 1, w - c.kernel + 1);
-    let mut codes = vec![0i8; c.out_channels * oh * ow];
-    let mut op_index = 0u64;
-    // Per-PE P registers: with round-robin issue, the product a given DSP
-    // produced before op `i` is op `i − PE_COUNT`, not `i − 1`.
-    let mut last_products = DupRing::default();
-    for oc in 0..c.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc: i32 = c.bias[oc];
-                for ic in 0..c.in_channels {
-                    for ky in 0..c.kernel {
-                        for kx in 0..c.kernel {
-                            let wv = c.weights
-                                [((oc * c.in_channels + ic) * c.kernel + ky) * c.kernel + kx];
-                            let xv = input.codes[(ic * h + oy + ky) * w + ox + kx];
-                            let product = i32::from(wv) * i32::from(xv);
-                            // Conv engines sum through adder trees: a late
-                            // product misses its slot, so duplication
-                            // faults corrupt conv outputs unconditionally.
-                            acc += apply_fault(
-                                product,
-                                hook.fault(stage_index, op_index, wv, xv),
-                                false,
-                                &mut last_products,
-                                rng,
-                                tally,
-                                stage_index,
-                                op_index,
-                            );
-                            op_index += 1;
-                        }
-                    }
-                }
-                codes[(oc * oh + oy) * ow + ox] = match c.activation {
-                    Activation::Tanh => net.tanh_code(acc),
-                    Activation::None => {
-                        (acc as f32 / net.format().scale()).round().clamp(-128.0, 127.0) as i8
-                    }
-                };
+/// DSPs the stage's ops are issued to round-robin; matches
+/// [`crate::schedule::AccelConfig::default`]'s `pe_count`. A duplication
+/// fault on op `i` re-captures the P register of the PE that issued it,
+/// which still holds the clean product of op `i − PE_COUNT` (zero before
+/// the PE's first op).
+const PE_COUNT: u64 = 8;
+
+/// Operand addressing of one DSP stage's MAC stream, in issue order: the
+/// ops of output `o` are consecutive, conv outputs run `oc, oy, ox` and
+/// their ops `ic, ky, kx` (innermost last), dense outputs run `o` and
+/// their ops `k`.
+struct Macs<'a> {
+    weights: &'a [i8],
+    codes: &'a [i8],
+    /// Input-code offset of each of an output's ops, relative to the
+    /// output's first input code.
+    offsets: Vec<usize>,
+    /// Conv geometry: output pixels per channel, output width, input
+    /// width. `None` for dense stages.
+    conv: Option<(usize, usize, usize)>,
+}
+
+impl<'a> Macs<'a> {
+    fn conv(c: &'a QConv, input: &'a CodeMap) -> Self {
+        let (h, w) = (input.shape[1], input.shape[2]);
+        let [_, oh, ow] = c.output_shape(&input.shape);
+        let k = c.kernel;
+        let offsets = (0..c.in_channels)
+            .flat_map(|ic| (0..k).flat_map(move |ky| (0..k).map(move |kx| (ic * h + ky) * w + kx)))
+            .collect();
+        Macs { weights: &c.weights, codes: &input.codes, offsets, conv: Some((oh * ow, ow, w)) }
+    }
+
+    fn dense(d: &'a QDense, input: &'a CodeMap) -> Self {
+        Macs {
+            weights: &d.weights,
+            codes: &input.codes,
+            offsets: (0..d.inputs).collect(),
+            conv: None,
+        }
+    }
+
+    /// Ops per output element.
+    fn per_output(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// Ops in the stage.
+    fn ops(&self) -> u64 {
+        match self.conv {
+            Some((pixels, _, _)) => (self.weights.len() * pixels) as u64,
+            None => self.weights.len() as u64,
+        }
+    }
+
+    /// The weight row and the input codes (from the output's first one)
+    /// that output `output`'s ops multiply.
+    fn output_operands(&self, output: usize) -> (&'a [i8], &'a [i8]) {
+        let per_output = self.per_output();
+        let (row, first_code) = match self.conv {
+            Some((pixels, ow, w)) => {
+                let (oc, pixel) = (output / pixels, output % pixels);
+                (oc, pixel / ow * w + pixel % ow)
             }
-        }
+            None => (output, 0),
+        };
+        (&self.weights[row * per_output..(row + 1) * per_output], &self.codes[first_code..])
     }
-    CodeMap { shape: vec![c.out_channels, oh, ow], codes }
+
+    /// The clean product of op `op`.
+    fn product(&self, op: u64) -> i32 {
+        let per_output = self.per_output() as u64;
+        let (weights, codes) = self.output_operands((op / per_output) as usize);
+        let r = (op % per_output) as usize;
+        i32::from(weights[r]) * i32::from(codes[self.offsets[r]])
+    }
+
+    /// Whether a late product of the `r`-th op of an output still lands in
+    /// its sum. Dense stages accumulate serially on one DSP: a late product
+    /// lands next cycle ("absorbed by more serial summations"), so only a
+    /// duplication at the fetch deadline (the chain's last op) leaves a
+    /// stale value. Conv engines sum through adder trees: a late product
+    /// misses its slot, so duplication corrupts conv outputs
+    /// unconditionally.
+    fn absorbs(&self, r: usize) -> bool {
+        self.conv.is_none() && r + 1 < self.per_output()
+    }
 }
 
-fn run_dense(
-    d: &QDense,
-    input: &CodeMap,
+/// Visits the hook's live ops of one DSP stage in op order and adds each
+/// fault's correction to the accumulator of the output it lands in.
+fn patch_live_ops(
     stage_index: usize,
+    macs: &Macs<'_>,
+    accs: &mut [i32],
     hook: &mut dyn MacHook,
     rng: &mut impl Rng,
     tally: &mut AppliedFaults,
-) -> Vec<i32> {
-    assert_eq!(input.codes.len(), d.inputs, "dense input size");
-    let mut accs = vec![0i32; d.outputs];
-    let mut op_index = 0u64;
-    let mut last_products = DupRing::default();
-    for (o, acc_out) in accs.iter_mut().enumerate() {
-        let mut acc: i32 = d.bias[o];
-        let row = &d.weights[o * d.inputs..(o + 1) * d.inputs];
-        for (k, (wv, xv)) in row.iter().zip(&input.codes).enumerate() {
-            let product = i32::from(*wv) * i32::from(*xv);
-            // Dense stages accumulate serially on one DSP: a late product
-            // still lands next cycle ("absorbed by more serial
-            // summations"), so only a duplication at the fetch deadline
-            // (the chain's last op) leaves a stale value.
-            acc += apply_fault(
-                product,
-                hook.fault(stage_index, op_index, *wv, *xv),
-                k + 1 < d.inputs,
-                &mut last_products,
-                rng,
-                tally,
-                stage_index,
-                op_index,
-            );
-            op_index += 1;
+) {
+    let per_output = macs.per_output() as u64;
+    for range in hook.live_ops(stage_index) {
+        let end = range.end.min(macs.ops());
+        // Clean products of the range's ops so far, by issuing PE: a
+        // duplication re-captures the product of op `i − PE_COUNT`, which
+        // is still in here once the range is PE_COUNT ops deep.
+        let mut ring = [0i32; PE_COUNT as usize];
+        let mut chain_start = range.start;
+        while chain_start < end {
+            let output = chain_start / per_output;
+            let (weights, codes) = macs.output_operands(output as usize);
+            let chain_end = end.min((output + 1) * per_output);
+            for op in chain_start..chain_end {
+                let r = (op - output * per_output) as usize;
+                let (weight, activation) = (weights[r], codes[macs.offsets[r]]);
+                let product = i32::from(weight) * i32::from(activation);
+                let fault = hook.fault(stage_index, op, weight, activation);
+                let pe = (op % PE_COUNT) as usize;
+                if fault != MacFault::None {
+                    let stale = || match op.checked_sub(PE_COUNT) {
+                        Some(prev) if prev >= range.start => ring[pe],
+                        Some(prev) => macs.product(prev),
+                        None => 0,
+                    };
+                    let faulty = apply_fault(
+                        product,
+                        fault,
+                        macs.absorbs(r),
+                        stale,
+                        rng,
+                        tally,
+                        stage_index,
+                        op,
+                    );
+                    accs[output as usize] += faulty - product;
+                }
+                ring[pe] = product;
+            }
+            chain_start = chain_end;
         }
-        *acc_out = acc;
     }
-    accs
 }
 
-/// Applies one fault decision to a product inside an accumulation chain.
+/// Applies one fault decision to a product inside an accumulation chain
+/// and returns the value the accumulator receives.
 ///
-/// Duplication faults are the "result arrives one cycle late" species.
-/// When `absorbed` is true (mid-chain op of a *serial* accumulation, i.e. a
-/// dense stage), the late product still lands next cycle and the sum is
-/// unharmed — the paper's "absorbed by more serial summations". Otherwise
-/// (conv adder trees, or a fetch-deadline op) the stale previous product is
-/// summed instead. Random faults corrupt unconditionally.
-/// Ring of the last product each PE produced (round-robin issue over
-/// [`DupRing::PE_COUNT`] DSPs).
-#[derive(Debug, Clone, Default)]
-struct DupRing {
-    ring: [i32; DupRing::PE_COUNT],
-    pos: usize,
-}
-
-impl DupRing {
-    /// Matches [`crate::schedule::AccelConfig::default`]'s `pe_count`.
-    const PE_COUNT: usize = 8;
-
-    /// Returns the issuing PE's previous product and records the new one.
-    fn exchange(&mut self, product: i32) -> i32 {
-        let stale = self.ring[self.pos];
-        self.ring[self.pos] = product;
-        self.pos = (self.pos + 1) % Self::PE_COUNT;
-        stale
-    }
-}
-
+/// Duplication faults are the "result arrives one cycle late" species:
+/// an `absorbed` one (see [`Macs::absorbs`]) leaves the sum unharmed,
+/// otherwise the PE's `stale` previous product is summed instead. Random
+/// faults corrupt unconditionally.
 #[allow(clippy::too_many_arguments)]
 fn apply_fault(
     product: i32,
     fault: MacFault,
     absorbed: bool,
-    last_products: &mut DupRing,
+    stale: impl FnOnce() -> i32,
     rng: &mut impl Rng,
     tally: &mut AppliedFaults,
     stage_index: usize,
     op_index: u64,
 ) -> i32 {
-    let stale = last_products.exchange(product);
     if fault != MacFault::None {
         trace::emit(|| trace::Event::MacFault {
             stage: stage_index as u32,
@@ -306,7 +346,7 @@ fn apply_fault(
             if absorbed {
                 product
             } else {
-                stale
+                stale()
             }
         }
         MacFault::Random => {
@@ -316,6 +356,78 @@ fn apply_fault(
     }
 }
 
+/// Test oracle for [`infer_with_faults`]: the per-MAC loop nest, which
+/// consults the hook on every multiply regardless of
+/// [`MacHook::live_ops`] and keeps each PE's last product in a ring.
+#[doc(hidden)]
+pub fn infer_with_faults_naive(
+    net: &QuantizedNetwork,
+    input: &Tensor,
+    hook: &mut dyn MacHook,
+    rng: &mut impl Rng,
+) -> (Vec<i32>, AppliedFaults) {
+    let mut map = net.quantize_input(input);
+    let mut tally = AppliedFaults::default();
+    let last = net.layers().len() - 1;
+    for (stage_index, stage) in net.layers().iter().enumerate() {
+        let mut ring = [0i32; PE_COUNT as usize];
+        let mut op = 0u64;
+        let mut mac = |product: i32, absorbed: bool, fault: MacFault, op: u64| {
+            let stale = std::mem::replace(&mut ring[(op % PE_COUNT) as usize], product);
+            apply_fault(product, fault, absorbed, || stale, rng, &mut tally, stage_index, op)
+        };
+        match stage {
+            QLayer::Conv(c) => {
+                let (h, w) = (map.shape[1], map.shape[2]);
+                let [channels, oh, ow] = c.output_shape(&map.shape);
+                let k = c.kernel;
+                let mut codes = vec![0i8; channels * oh * ow];
+                for oc in 0..channels {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let mut acc: i32 = c.bias[oc];
+                            for ic in 0..c.in_channels {
+                                for ky in 0..k {
+                                    for kx in 0..k {
+                                        let wv = c.weights
+                                            [((oc * c.in_channels + ic) * k + ky) * k + kx];
+                                        let xv = map.codes[(ic * h + oy + ky) * w + ox + kx];
+                                        let fault = hook.fault(stage_index, op, wv, xv);
+                                        acc += mac(i32::from(wv) * i32::from(xv), false, fault, op);
+                                        op += 1;
+                                    }
+                                }
+                            }
+                            codes[(oc * oh + oy) * ow + ox] = net.activate(acc, c.activation);
+                        }
+                    }
+                }
+                map = CodeMap { shape: vec![channels, oh, ow], codes };
+            }
+            QLayer::MaxPool { .. } => map = net.run_stage(stage, &map),
+            QLayer::Dense(d) => {
+                let mut accs = vec![0i32; d.outputs];
+                for (o, acc_out) in accs.iter_mut().enumerate() {
+                    let mut acc: i32 = d.bias[o];
+                    let row = &d.weights[o * d.inputs..(o + 1) * d.inputs];
+                    for (k, (wv, xv)) in row.iter().zip(&map.codes).enumerate() {
+                        let fault = hook.fault(stage_index, op, *wv, *xv);
+                        acc += mac(i32::from(*wv) * i32::from(*xv), k + 1 < d.inputs, fault, op);
+                        op += 1;
+                    }
+                    *acc_out = acc;
+                }
+                if stage_index == last {
+                    return (accs, tally);
+                }
+                let codes = accs.iter().map(|&acc| net.activate(acc, d.activation)).collect();
+                map = CodeMap { shape: vec![d.outputs], codes };
+            }
+        }
+    }
+    (map.codes.iter().map(|&c| i32::from(c)).collect(), tally)
+}
+
 /// Classification with fault injection: argmax of faulty logits.
 pub fn predict_with_faults(
     net: &QuantizedNetwork,
@@ -323,13 +435,7 @@ pub fn predict_with_faults(
     hook: &mut dyn MacHook,
     rng: &mut impl Rng,
 ) -> usize {
-    let (logits, _) = infer_with_faults(net, input, hook, rng);
-    logits
-        .iter()
-        .enumerate()
-        .max_by_key(|(i, &v)| (v, std::cmp::Reverse(*i)))
-        .map(|(i, _)| i)
-        .expect("non-empty logits")
+    argmax(&infer_with_faults(net, input, hook, rng).0)
 }
 
 #[cfg(test)]

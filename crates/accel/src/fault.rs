@@ -83,6 +83,20 @@ impl DspTiming {
     pub fn nominal_slack_ps(&self) -> f64 {
         self.budget_ps - self.stage_delay_ps
     }
+
+    /// Draws one op's data-dependent jitter and classifies its realised
+    /// delay `stage_ps · scale · factor · u` against the capture budget.
+    fn classify(&self, stage_ps: f64, factor: f64, scale: f64, rng: &mut impl Rng) -> MacFault {
+        let u = 1.0 + rng.gen_range(-self.jitter_frac..=self.jitter_frac);
+        let d = stage_ps * scale * factor * u;
+        if d <= self.budget_ps {
+            MacFault::None
+        } else if d <= self.budget_ps * (1.0 + self.window_frac) {
+            MacFault::Duplicate
+        } else {
+            MacFault::Random
+        }
+    }
 }
 
 /// Per-op fault probabilities at a given rail voltage.
@@ -160,16 +174,7 @@ impl FaultModel {
         if scale <= 0.0 {
             return MacFault::None;
         }
-        let t = &self.timing;
-        let u = 1.0 + rng.gen_range(-t.jitter_frac..=t.jitter_frac);
-        let d = t.stage_delay_ps * scale * self.delay.factor(v) * u;
-        if d <= t.budget_ps {
-            MacFault::None
-        } else if d <= t.budget_ps * (1.0 + t.window_frac) {
-            MacFault::Duplicate
-        } else {
-            MacFault::Random
-        }
+        self.timing.classify(self.timing.stage_delay_ps, self.delay.factor(v), scale, rng)
     }
 
     /// Fraction of the critical path a multiply with the given product
@@ -243,13 +248,56 @@ impl FaultModel {
         scale: f64,
         rng: &mut impl Rng,
     ) -> MacFault {
-        match self.sample_scaled(v_capture, scale, rng) {
-            MacFault::None => match self.early_stage().sample_scaled(v_min_in_flight, scale, rng) {
-                MacFault::None => MacFault::None,
-                _ => MacFault::Random,
-            },
+        self.sample_pipelined_factors(
+            self.delay.factor(v_capture),
+            self.delay.factor(v_min_in_flight),
+            scale,
+            rng,
+        )
+    }
+
+    /// [`Self::sample_pipelined_scaled`] with the voltage→delay law already
+    /// evaluated: `capture_factor = delay().factor(v_capture)` and
+    /// `early_factor = delay().factor(v_min_in_flight)`. It draws the same
+    /// randomness and returns the same outcome, so a caller pricing many
+    /// ops at one cycle's voltages evaluates the law once per cycle.
+    pub fn sample_pipelined_factors(
+        &self,
+        capture_factor: f64,
+        early_factor: f64,
+        scale: f64,
+        rng: &mut impl Rng,
+    ) -> MacFault {
+        if scale <= 0.0 {
+            return MacFault::None;
+        }
+        let t = &self.timing;
+        match t.classify(t.stage_delay_ps, capture_factor, scale, rng) {
+            MacFault::None => {
+                let early_ps = t.stage_delay_ps * Self::EARLY_STAGE_MARGIN;
+                match t.classify(early_ps, early_factor, scale, rng) {
+                    MacFault::None => MacFault::None,
+                    _ => MacFault::Random,
+                }
+            }
             fault => fault,
         }
+    }
+
+    /// Whether an op with path scale at most `max_scale` can fault at all
+    /// at these delay factors (see [`Self::sample_pipelined_factors`]),
+    /// even at worst-case jitter. Conservative: the bound is inflated by a
+    /// small relative margin so float rounding in the sampled delay can
+    /// never push a fault past it. `false` means every draw at these
+    /// factors returns [`MacFault::None`].
+    pub fn may_fault(&self, capture_factor: f64, early_factor: f64, max_scale: f64) -> bool {
+        const MARGIN: f64 = 1e-6;
+        let t = &self.timing;
+        let worst =
+            |stage_ps: f64, factor: f64| stage_ps * max_scale * factor * (1.0 + t.jitter_frac);
+        let early_ps = t.stage_delay_ps * Self::EARLY_STAGE_MARGIN;
+        worst(t.stage_delay_ps, capture_factor) * (1.0 + MARGIN) > t.budget_ps
+            || worst(early_ps, early_factor) * (1.0 + MARGIN) > t.budget_ps
     }
 }
 
@@ -342,6 +390,33 @@ mod tests {
         assert!((0.5..1.0).contains(&v_safe), "safe voltage {v_safe}");
         assert_eq!(m.probabilities(v_safe + 0.005).total(), 0.0);
         assert!(m.probabilities(v_safe - 0.01).total() > 0.0);
+    }
+
+    #[test]
+    fn may_fault_bounds_every_draw() {
+        let delay = DelayModel::default();
+        for timing in [DspTiming::paper_ddr(), DspTiming::paper_sdr()] {
+            let m = FaultModel::new(timing, delay);
+            let mut rng = StdRng::seed_from_u64(5);
+            for step in 0..500 {
+                let v = 0.55 + 0.45 * f64::from(step) / 499.0;
+                let (capture, early) = (delay.factor(v), delay.factor(v + 0.02));
+                for max_scale in [0.85, 1.0] {
+                    if !m.may_fault(capture, early, max_scale) {
+                        for _ in 0..50 {
+                            let fault =
+                                m.sample_pipelined_factors(capture, early, max_scale, &mut rng);
+                            assert_eq!(fault, MacFault::None, "v {v}, scale {max_scale}");
+                        }
+                    }
+                }
+            }
+            // Tight at the safe voltage: just below it an op can fault.
+            let safe = m.safe_voltage();
+            let nominal = delay.factor(1.0);
+            assert!(m.may_fault(delay.factor(safe - 1e-9), nominal, 1.0));
+            assert!(!m.may_fault(delay.factor(safe + 1e-3), nominal, 1.0));
+        }
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Property-based tests for the accelerator simulator.
 
 use accel::dsp::{DspOp, DspSlice};
-use accel::executor::{infer_with_faults, FixedRateHook, NoFaults};
-use accel::fault::{DspTiming, FaultModel};
+use std::ops::Range;
+
+use accel::executor::{
+    infer_with_faults, infer_with_faults_naive, FixedRateHook, MacHook, NoFaults,
+};
+use accel::fault::{DspTiming, FaultModel, MacFault};
 use accel::schedule::{AccelConfig, Schedule};
 use dnn::fixed::QFormat;
 use dnn::layers::{Conv2d, Dense, MaxPool2d, Tanh};
@@ -119,5 +123,99 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(0);
         let (logits, _) = infer_with_faults(&q, &x, &mut NoFaults, &mut rng);
         prop_assert_eq!(logits, q.infer_logits(&x));
+    }
+}
+
+/// A hook that draws randomness only inside its live op ranges and
+/// answers every other op with a draw-free `MacFault::None` — the contract
+/// `MacHook::live_ops` lets the fast executor exploit.
+struct RangedHook {
+    live: Vec<Vec<Range<u64>>>,
+    inner: FixedRateHook<StdRng>,
+}
+
+impl MacHook for RangedHook {
+    fn fault(&mut self, stage: usize, op: u64, w: i8, x: i8) -> MacFault {
+        match self.live.get(stage) {
+            Some(ranges) if ranges.iter().any(|r| r.contains(&op)) => {
+                self.inner.fault(stage, op, w, x)
+            }
+            _ => MacFault::None,
+        }
+    }
+
+    fn live_ops(&self, stage: usize) -> Vec<Range<u64>> {
+        self.live.get(stage).cloned().unwrap_or_default()
+    }
+}
+
+/// conv(1→3, k3) → tanh → pool 2 → fc(48→12) → tanh → fc(12→10) on a
+/// 10×10 input: both MAC addressings, a pooling stage in between, and a
+/// dense stage that is not the last.
+fn small_cnn() -> QuantizedNetwork {
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut net = Sequential::new("cnn");
+    net.push(Box::new(Conv2d::new("conv1", 1, 3, 3, &mut rng)));
+    net.push(Box::new(Tanh::new("t1")));
+    net.push(Box::new(MaxPool2d::new("pool1", 2)));
+    net.push(Box::new(Dense::new("fc1", 48, 12, &mut rng)));
+    net.push(Box::new(Tanh::new("t2")));
+    net.push(Box::new(Dense::new("fc2", 12, 10, &mut rng)));
+    QuantizedNetwork::from_sequential(&net, &[1, 10, 10], QFormat::paper()).unwrap()
+}
+
+/// Sorted, disjoint ranges from arbitrary cut points (some past `ops`,
+/// which the executor must clip).
+fn ranges_from(mut cuts: Vec<u64>) -> Vec<Range<u64>> {
+    cuts.sort_unstable();
+    cuts.dedup();
+    cuts.chunks_exact(2).map(|pair| pair[0]..pair[1]).collect()
+}
+
+proptest! {
+    /// Visiting only the live ops gives the same logits, tally and
+    /// `mac_fault` events as consulting the hook on every multiply —
+    /// including duplications that re-capture a PE's product from before
+    /// the range (or before the stage's first op) and random faults
+    /// drawing from the executor's RNG.
+    #[test]
+    fn live_op_executor_matches_per_mac_oracle(
+        conv_cuts in prop::collection::vec(0u64..1_800, 0..10),
+        fc1_cuts in prop::collection::vec(0u64..600, 0..10),
+        fc2_cuts in prop::collection::vec(0u64..130, 0..6),
+        dup in 0.0f64..0.6,
+        rnd in 0.0f64..0.3,
+        fill in 0.0f32..1.0,
+        seed in 0u64..1_000,
+    ) {
+        let q = small_cnn();
+        let x = Tensor::from_vec(
+            (0..100).map(|i| ((i as f32 * 0.37 + fill) % 1.0) * 2.0 - 1.0).collect(),
+            &[1, 10, 10],
+        );
+        let live = vec![
+            ranges_from(conv_cuts),
+            Vec::new(),
+            ranges_from(fc1_cuts),
+            ranges_from(fc2_cuts),
+        ];
+        let hook = |live: &Vec<Vec<Range<u64>>>| RangedHook {
+            live: live.clone(),
+            inner: FixedRateHook { duplicate: dup, random: rnd, rng: StdRng::seed_from_u64(seed) },
+        };
+        let (fast, fast_log) = trace::capture(1 << 16, || {
+            infer_with_faults(&q, &x, &mut hook(&live), &mut StdRng::seed_from_u64(seed ^ 1))
+        });
+        let (naive, naive_log) = trace::capture(1 << 16, || {
+            infer_with_faults_naive(&q, &x, &mut hook(&live), &mut StdRng::seed_from_u64(seed ^ 1))
+        });
+        prop_assert_eq!(&fast, &naive);
+        prop_assert_eq!(fast_log, naive_log);
+        // With every op live (the default), the two paths agree too.
+        let mut all = FixedRateHook { duplicate: dup, random: rnd, rng: StdRng::seed_from_u64(seed) };
+        let every = infer_with_faults(&q, &x, &mut all, &mut StdRng::seed_from_u64(seed ^ 1));
+        let mut all = FixedRateHook { duplicate: dup, random: rnd, rng: StdRng::seed_from_u64(seed) };
+        let oracle = infer_with_faults_naive(&q, &x, &mut all, &mut StdRng::seed_from_u64(seed ^ 1));
+        prop_assert_eq!(every, oracle);
     }
 }

@@ -1,7 +1,7 @@
 //! Performance sweep: measures the campaign hot paths serial vs parallel
 //! and writes the machine-readable `BENCH_sweep.json` at the repo root.
 //!
-//! Five measurements:
+//! Six measurements:
 //!
 //! 1. **fig5b snapshot sweep** — the fig5b candidate sweep across all five
 //!    layers, evaluated once by naive full replay and once through the
@@ -21,6 +21,12 @@
 //! 5. **cosim cycle** — host nanoseconds per victim cycle of an unarmed
 //!    LeNet `run_inference` (the campaign benchmark's
 //!    `cosim.host_ns_per_cycle`), fastest of a few rounds.
+//! 6. **score image** — µs per scored image for the runs of the campaign
+//!    benchmark's fig5b block (conv1, conv2, fc1 and a blind spray),
+//!    through the per-MAC oracle (`evaluate_attack_naive`) and the
+//!    fault-sparse path (`evaluate_attack`). The outcomes must be
+//!    identical — the process aborts otherwise — before the speedup is
+//!    recorded.
 //!
 //! Grid sizes honour `DEEPSTRIKE_PERF_SNAP_POINTS`,
 //! `DEEPSTRIKE_PERF_SLICE_POINTS` and `DEEPSTRIKE_PERF_IMAGES` so CI can
@@ -33,10 +39,10 @@ use accel::schedule::AccelConfig;
 use bench::report::{SweepEntry, SweepReport};
 use bench::{test_set, trained_lenet, HARNESS_SEED};
 use deepstrike::attack::{
-    clean_predictions, evaluate_attack, evaluate_attack_cached, plan_attack, profile_victim,
-    AttackOutcome,
+    clean_predictions, evaluate_attack, evaluate_attack_cached, evaluate_attack_naive, plan_attack,
+    plan_blind, profile_victim, AttackOutcome,
 };
-use deepstrike::cosim::{CloudFpga, CosimConfig};
+use deepstrike::cosim::{CloudFpga, CosimConfig, InferenceRun};
 use deepstrike::snapshot::SnapshotEngine;
 use dnn::layers::{Conv2d, Layer};
 use dnn::lenet::STAGE_NAMES;
@@ -55,6 +61,9 @@ const SLICE_POINTS: usize = 64;
 /// Images scored per campaign point (reduced from fig5b's 300 to keep the
 /// sweep fast while leaving enough work per point to parallelise).
 const SLICE_IMAGES: usize = 30;
+
+/// Timing rounds of the scoring comparison (fastest kept).
+const SCORE_ROUNDS: usize = 3;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
@@ -323,6 +332,64 @@ fn main() {
         SweepEntry::new("cosim_cycle/lenet")
             .metric("cycles", cycles as f64)
             .metric("ns_per_cycle", ns_per_cycle),
+    );
+
+    // --- score image: per-MAC oracle vs fault-sparse scoring --------------
+    // The runs of the campaign benchmark's fig5b block: guided conv1,
+    // conv2 and fc1 at its strike fractions, plus a 2000-strike blind spray.
+    let mut score_runs: Vec<InferenceRun> = [("conv1", 0.125), ("conv2", 0.5), ("fc1", 0.75)]
+        .iter()
+        .map(|&(layer, fraction)| {
+            let (_, len) = profile.window(layer).expect("profiled layer");
+            let strikes = ((f64::from((len / 2).max(4) as u32) * fraction) as u32).max(1);
+            let scheme = plan_attack(&profile, layer, strikes).expect("strikes fit the window");
+            engine.run_guided(&scheme).expect("guided run")
+        })
+        .collect();
+    score_runs.push(engine.run_blind(&plan_blind(fpga.schedule(), 2000)).expect("blind run"));
+    let score_all = |evaluate: &dyn Fn(&InferenceRun) -> AttackOutcome| {
+        let mut outcomes = Vec::new();
+        let s = (0..SCORE_ROUNDS)
+            .map(|_| seconds(|| outcomes = score_runs.iter().map(evaluate).collect()))
+            .fold(f64::INFINITY, f64::min);
+        (s, outcomes)
+    };
+    let (naive_s, naive_out) = score_all(&|run| {
+        evaluate_attack_naive(
+            &q,
+            fpga.schedule(),
+            run,
+            test.iter().take(images),
+            FaultModel::paper(),
+            HARNESS_SEED,
+        )
+    });
+    let (fast_s, fast_out) = score_all(&|run| {
+        evaluate_attack(
+            &q,
+            fpga.schedule(),
+            run,
+            test.iter().take(images),
+            FaultModel::paper(),
+            HARNESS_SEED,
+        )
+    });
+    assert_eq!(naive_out, fast_out, "fault-sparse scoring must equal the per-MAC oracle");
+    let scored = (score_runs.len() * images) as f64;
+    let (naive_us, fast_us) = (naive_s / scored * 1e6, fast_s / scored * 1e6);
+    let score_speedup = naive_s / fast_s;
+    println!(
+        "score_image/lenet: per-MAC {naive_us:.0}us, fault-sparse {fast_us:.0}us per image \
+         ({score_speedup:.2}x, {} runs x {images} images, fastest of {SCORE_ROUNDS}), identical",
+        score_runs.len()
+    );
+    report.push(
+        SweepEntry::new("score_image/lenet")
+            .metric("runs", score_runs.len() as f64)
+            .metric("images_per_run", images as f64)
+            .metric("naive_us", naive_us)
+            .metric("fast_us", fast_us)
+            .metric("speedup", score_speedup),
     );
 
     let path = {

@@ -16,10 +16,12 @@
 //! of strikes uniformly over the whole inference instead of into the
 //! target layer ([`plan_blind`]).
 
-use accel::executor::{infer_with_faults, MacHook};
+use std::ops::Range;
+
+use accel::executor::{infer_with_faults, infer_with_faults_naive, AppliedFaults, MacHook};
 use accel::fault::{FaultModel, MacFault};
-use accel::schedule::{Schedule, StageKind};
-use dnn::quant::QuantizedNetwork;
+use accel::schedule::{LayerWindow, Schedule, StageKind};
+use dnn::quant::{argmax, QLayer, QuantizedNetwork};
 use dnn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -230,19 +232,157 @@ pub fn plan_blind_cycles(total_cycles: u64, strikes: u32) -> AttackScheme {
     scheme
 }
 
-/// A [`MacHook`] that converts a recorded [`InferenceRun`] into per-op
-/// fault decisions: an op faults according to the worst rail voltage it
-/// would have seen while in flight.
+/// What one recorded run can do to the victim's MACs, priced once per
+/// scoring call and shared by every image's [`StrikeHook`].
+///
+/// An op whose in-flight window cannot violate timing — capture voltage at
+/// or above [`FaultModel::safe_voltage`] and the flight minimum at or above
+/// the early stage's — is answered [`MacFault::None`] without a draw. The
+/// plan marks the other cycles *hot* and keeps their two delay factors, so
+/// sampling evaluates the voltage→delay law once per cycle, not per op.
+/// The ops of DSP stages that fall in hot cycles are the *live* ops: the
+/// only ones [`infer_with_faults`] asks the hook about. Live ops after the
+/// last one that can fault at all (see [`FaultModel::may_fault`]) are cut:
+/// their draws would never be read.
+#[derive(Debug)]
+pub struct FaultPlan<'a> {
+    schedule: &'a Schedule,
+    fault_model: FaultModel,
+    /// The hot cycles, in cycle order.
+    hot: Vec<HotCycle>,
+    /// Per network stage: merged live op ranges in op order.
+    live: Vec<Vec<Range<u64>>>,
+}
+
+/// A victim cycle whose ops can violate timing, with the delay factors of
+/// its capture voltage and in-flight minimum.
+#[derive(Debug)]
+struct HotCycle {
+    cycle: u64,
+    capture: f64,
+    early: f64,
+}
+
+impl<'a> FaultPlan<'a> {
+    /// Prices the recorded run `run` of `net` under `schedule`.
+    pub fn new(
+        net: &QuantizedNetwork,
+        schedule: &'a Schedule,
+        run: &InferenceRun,
+        fault_model: FaultModel,
+    ) -> Self {
+        let latency = StrikeHook::LATENCY;
+        let safe_voltage = fault_model.safe_voltage();
+        let early_safe_voltage = fault_model.early_stage().safe_voltage();
+        let delay = fault_model.delay();
+        let volts = &run.victim_voltage;
+        let hot: Vec<HotCycle> = (0..volts.len())
+            .filter_map(|c| {
+                let v_capture = volts[(c + latency as usize).min(volts.len() - 1)];
+                let v_min = run.min_voltage_in_flight(c as u64, latency);
+                // Fast path: nothing in the op's flight can violate timing.
+                let safe = v_capture >= safe_voltage && v_min >= early_safe_voltage;
+                (!safe).then(|| HotCycle {
+                    cycle: c as u64,
+                    capture: delay.factor(v_capture),
+                    early: delay.factor(v_min),
+                })
+            })
+            .collect();
+        // The windows of the stages the executor consults the hook for,
+        // with each one's hot cycles and largest path scale.
+        let stages: Vec<Option<(&LayerWindow, &[HotCycle], f64)>> = net
+            .layers()
+            .iter()
+            .enumerate()
+            .map(|(stage, layer)| {
+                let window = match (layer, schedule.windows().get(stage)) {
+                    (QLayer::Conv(_) | QLayer::Dense(_), Some(window)) => window,
+                    _ => return None,
+                };
+                let first = hot.partition_point(|h| h.cycle < window.start_cycle);
+                let end = hot.partition_point(|h| h.cycle < window.end_cycle());
+                let max_scale = match window.kind {
+                    StageKind::Dense => StrikeHook::DENSE_PATH_SCALE,
+                    _ => 1.0,
+                };
+                Some((window, &hot[first..end], max_scale))
+            })
+            .collect();
+        // Draws after the last hot cycle where some op can fault are never
+        // read: that is where the live ops end.
+        let cut = stages.iter().enumerate().rev().find_map(|(stage, entry)| {
+            let (_, cycles, max_scale) = (*entry)?;
+            let last = cycles
+                .iter()
+                .rev()
+                .find(|h| fault_model.may_fault(h.capture, h.early, max_scale))?;
+            Some((stage, last.cycle))
+        });
+        let live = stages
+            .iter()
+            .enumerate()
+            .map(|(stage, entry)| {
+                let mut merged: Vec<Range<u64>> = Vec::new();
+                let (Some((window, cycles, _)), Some((cut_stage, cut_cycle))) = (entry, cut) else {
+                    return merged;
+                };
+                if stage > cut_stage {
+                    return merged;
+                }
+                for h in cycles.iter().take_while(|h| stage < cut_stage || h.cycle <= cut_cycle) {
+                    let ops = ops_in_cycle(window, h.cycle);
+                    match merged.last_mut() {
+                        Some(prev) if prev.end == ops.start => prev.end = ops.end,
+                        _ if ops.is_empty() => {}
+                        _ => merged.push(ops),
+                    }
+                }
+                merged
+            })
+            .collect();
+        FaultPlan { schedule, fault_model, hot, live }
+    }
+
+    /// Live op ranges of stage `stage_index` (empty for pooling stages).
+    fn live_ops(&self, stage_index: usize) -> &[Range<u64>] {
+        self.live.get(stage_index).map_or(&[], Vec::as_slice)
+    }
+
+    /// Whether no op can fault: every image then scores its clean verdict
+    /// with zero faults.
+    pub fn is_inert(&self) -> bool {
+        self.live.iter().all(Vec::is_empty)
+    }
+
+    /// `(capture, early)` delay factors of `cycle` if it is hot.
+    fn factors(&self, cycle: u64) -> Option<(f64, f64)> {
+        let i = self.hot.binary_search_by_key(&cycle, |h| h.cycle).ok()?;
+        Some((self.hot[i].capture, self.hot[i].early))
+    }
+}
+
+/// The ops of `window` that execute in `cycle` (see
+/// [`LayerWindow::cycle_of_op`]): op `i` runs at
+/// `start + ⌊i·cycles/ops⌋`, so relative cycle `r` holds ops
+/// `⌈r·ops/cycles⌉ .. ⌈(r+1)·ops/cycles⌉`.
+fn ops_in_cycle(window: &LayerWindow, cycle: u64) -> Range<u64> {
+    let first = |r: u64| (r * window.ops).div_ceil(window.cycles).min(window.ops);
+    let r = cycle - window.start_cycle;
+    first(r)..first(r + 1)
+}
+
+/// A [`MacHook`] that turns a [`FaultPlan`] into per-op fault decisions:
+/// an op faults according to the worst rail voltage it would have seen
+/// while in flight. Each image gets its own hook, seeded per image.
 #[derive(Debug)]
 pub struct StrikeHook<'a> {
-    windows: Vec<Option<usize>>,
-    schedule: &'a Schedule,
-    capture_voltage: Vec<f64>,
-    in_flight_voltage: Vec<f64>,
-    fault_model: FaultModel,
-    safe_voltage: f64,
-    early_safe_voltage: f64,
+    plan: &'a FaultPlan<'a>,
     rng: StdRng,
+    /// Stage, op range and hot-cycle factors of the cycle last looked up:
+    /// the ops of one cycle arrive together, so only the first of them
+    /// pays for the op → cycle division and the hot-cycle search.
+    last_cycle: (usize, Range<u64>, Option<(f64, f64)>),
 }
 
 impl<'a> StrikeHook<'a> {
@@ -252,47 +392,85 @@ impl<'a> StrikeHook<'a> {
     /// Path-length scale of accumulate-dominated (dense) DSP ops.
     pub const DENSE_PATH_SCALE: f64 = 0.85;
 
-    /// Builds the hook from a recorded run.
-    pub fn new(
-        net: &QuantizedNetwork,
-        schedule: &'a Schedule,
-        run: &InferenceRun,
-        fault_model: FaultModel,
-        seed: u64,
-    ) -> Self {
-        // Stage i of the network maps to window i of the schedule.
-        let windows =
-            (0..net.layers().len()).map(|i| (i < schedule.windows().len()).then_some(i)).collect();
-        let n = run.victim_voltage.len();
-        let capture_voltage: Vec<f64> = (0..n)
-            .map(|c| {
-                let cap = (c + Self::LATENCY as usize).min(n.saturating_sub(1));
-                run.victim_voltage[cap]
-            })
-            .collect();
-        let in_flight_voltage =
-            (0..n as u64).map(|c| run.min_voltage_in_flight(c, Self::LATENCY)).collect();
-        let safe_voltage = fault_model.safe_voltage();
-        let early_safe_voltage = fault_model.early_stage().safe_voltage();
-        StrikeHook {
-            windows,
-            schedule,
-            capture_voltage,
-            in_flight_voltage,
-            fault_model,
-            safe_voltage,
-            early_safe_voltage,
-            rng: StdRng::seed_from_u64(seed),
-        }
+    /// A hook sampling `plan` with its own `seed`.
+    pub fn new(plan: &'a FaultPlan<'a>, seed: u64) -> Self {
+        StrikeHook { plan, rng: StdRng::seed_from_u64(seed), last_cycle: (usize::MAX, 0..0, None) }
     }
 }
 
 impl MacHook for StrikeHook<'_> {
     fn fault(&mut self, stage_index: usize, op_index: u64, weight: i8, activation: i8) -> MacFault {
-        let Some(window_index) = self.windows.get(stage_index).copied().flatten() else {
+        let Some(window) = self.plan.schedule.windows().get(stage_index) else {
             return MacFault::None;
         };
-        let window = &self.schedule.windows()[window_index];
+        if op_index >= window.ops {
+            return MacFault::None;
+        }
+        if self.last_cycle.0 != stage_index || !self.last_cycle.1.contains(&op_index) {
+            let cycle = window.cycle_of_op(op_index);
+            self.last_cycle = (stage_index, ops_in_cycle(window, cycle), self.plan.factors(cycle));
+        }
+        let Some((capture, early)) = self.last_cycle.2 else {
+            return MacFault::None;
+        };
+        let scale = strike_path_scale(window.kind, weight, activation);
+        self.plan.fault_model.sample_pipelined_factors(capture, early, scale, &mut self.rng)
+    }
+
+    fn live_ops(&self, stage_index: usize) -> Vec<Range<u64>> {
+        self.plan.live_ops(stage_index).to_vec()
+    }
+}
+
+/// Convolution ops exercise the full multiplier array (path length grows
+/// with the product width); fully connected stages are
+/// accumulate-dominated — "only adds k×k prior multiplication results"
+/// (§IV) — so their critical path is the short ALU add.
+fn strike_path_scale(kind: StageKind, weight: i8, activation: i8) -> f64 {
+    match kind {
+        StageKind::Dense => StrikeHook::DENSE_PATH_SCALE,
+        _ => FaultModel::path_scale(i32::from(weight) * i32::from(activation)),
+    }
+}
+
+/// The per-MAC reference of [`StrikeHook`]: builds its voltage tables
+/// from the run and prices every op from scratch. Drives the
+/// [`evaluate_attack_naive`] oracle.
+struct ReferenceHook<'a> {
+    schedule: &'a Schedule,
+    capture_voltage: Vec<f64>,
+    in_flight_voltage: Vec<f64>,
+    fault_model: FaultModel,
+    safe_voltage: f64,
+    early_safe_voltage: f64,
+    rng: StdRng,
+}
+
+impl<'a> ReferenceHook<'a> {
+    fn new(schedule: &'a Schedule, run: &InferenceRun, fault_model: FaultModel, seed: u64) -> Self {
+        let n = run.victim_voltage.len();
+        let latency = StrikeHook::LATENCY;
+        ReferenceHook {
+            schedule,
+            capture_voltage: (0..n)
+                .map(|c| run.victim_voltage[(c + latency as usize).min(n.saturating_sub(1))])
+                .collect(),
+            in_flight_voltage: (0..n as u64)
+                .map(|c| run.min_voltage_in_flight(c, latency))
+                .collect(),
+            fault_model,
+            safe_voltage: fault_model.safe_voltage(),
+            early_safe_voltage: fault_model.early_stage().safe_voltage(),
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+}
+
+impl MacHook for ReferenceHook<'_> {
+    fn fault(&mut self, stage_index: usize, op_index: u64, weight: i8, activation: i8) -> MacFault {
+        let Some(window) = self.schedule.windows().get(stage_index) else {
+            return MacFault::None;
+        };
         if op_index >= window.ops {
             return MacFault::None;
         }
@@ -302,18 +480,10 @@ impl MacHook for StrikeHook<'_> {
                 (Some(&a), Some(&b)) => (a, b),
                 _ => return MacFault::None,
             };
-        // Fast path: nothing in the op's flight can violate timing.
         if v_capture >= self.safe_voltage && v_min >= self.early_safe_voltage {
             return MacFault::None;
         }
-        // Convolution ops exercise the full multiplier array (path length
-        // grows with the product width); fully connected stages are
-        // accumulate-dominated — "only adds k×k prior multiplication
-        // results" (§IV) — so their critical path is the short ALU add.
-        let scale = match window.kind {
-            StageKind::Dense => Self::DENSE_PATH_SCALE,
-            _ => FaultModel::path_scale(i32::from(weight) * i32::from(activation)),
-        };
+        let scale = strike_path_scale(window.kind, weight, activation);
         self.fault_model.sample_pipelined_scaled(v_capture, v_min, scale, &mut self.rng)
     }
 }
@@ -346,14 +516,15 @@ impl AttackOutcome {
 ///
 /// The recorded run's voltage waveform is input-independent (the
 /// accelerator's schedule is static), so one co-simulated run prices the
-/// fault distribution and each image samples it independently — the
-/// statistical mode described in DESIGN.md §4.
+/// fault distribution — a [`FaultPlan`], built once per call — and each
+/// image samples it independently (DESIGN.md §4). When the plan has no
+/// live op, every image keeps its clean verdict with zero faults.
 ///
-/// Images are scored on the [`par`] worker pool: image `i` draws from an
-/// `StdRng` seeded by `par::seed_for(seed ^ 0xD5, i)` (and its
-/// [`StrikeHook`] from `seed + i`, as before), so the outcome is a pure
-/// function of `(inputs, seed)` — bit-identical at any thread count,
-/// including `DEEPSTRIKE_THREADS=1`.
+/// Images are scored on the [`par`] worker pool: image `i`'s random
+/// faults draw from an `StdRng` seeded by `par::seed_for(seed ^ 0xD5, i)`
+/// and its [`StrikeHook`] samples from one seeded by `seed + i`, so the
+/// outcome is a pure function of `(inputs, seed)` — bit-identical at any
+/// thread count, including `DEEPSTRIKE_THREADS=1`.
 pub fn evaluate_attack<'a>(
     net: &QuantizedNetwork,
     schedule: &Schedule,
@@ -407,30 +578,57 @@ fn evaluate_attack_impl(
     seed: u64,
     clean: Option<&[bool]>,
 ) -> AttackOutcome {
-    struct ImageScore {
-        clean_ok: bool,
-        attacked_ok: bool,
-        duplicate: u64,
-        random: u64,
-    }
-    let scores = par::map_seeded(samples.len(), seed ^ 0xD5, |i, rng| {
+    let plan = FaultPlan::new(net, schedule, run, fault_model);
+    score_images(run, samples.len(), seed, |i, rng| {
         let (x, y) = samples[i];
-        let mut hook =
-            StrikeHook::new(net, schedule, run, fault_model, seed.wrapping_add(i as u64));
-        let (logits, tally) = infer_with_faults(net, x, &mut hook, rng);
-        // Invariant: a QuantizedNetwork always ends in a layer with at
-        // least one output class, so the logits vector is non-empty.
-        let predicted = logits
-            .iter()
-            .enumerate()
-            .max_by_key(|(k, &v)| (v, std::cmp::Reverse(*k)))
-            .map(|(k, _)| k)
-            .expect("non-empty logits");
+        let attacked = (!plan.is_inert()).then(|| {
+            let mut hook = StrikeHook::new(&plan, seed.wrapping_add(i as u64));
+            let (logits, tally) = infer_with_faults(net, x, &mut hook, rng);
+            (argmax(&logits) == y, tally)
+        });
         let clean_ok = match clean {
             Some(c) => c[i],
             None => net.predict(x) == y,
         };
-        let attacked_ok = predicted == y;
+        let (attacked_ok, tally) = attacked.unwrap_or((clean_ok, AppliedFaults::default()));
+        (clean_ok, attacked_ok, tally)
+    })
+}
+
+/// Test oracle for [`evaluate_attack`]: scores every image through the
+/// per-MAC [`infer_with_faults_naive`] loop with a hook that builds its
+/// voltage tables per image and prices every op from scratch — no plan,
+/// no live ops, no inert shortcut. Same seeding, same trace events.
+#[doc(hidden)]
+pub fn evaluate_attack_naive<'a>(
+    net: &QuantizedNetwork,
+    schedule: &Schedule,
+    run: &InferenceRun,
+    samples: impl Iterator<Item = (&'a Tensor, usize)>,
+    fault_model: FaultModel,
+    seed: u64,
+) -> AttackOutcome {
+    let samples: Vec<(&Tensor, usize)> = samples.collect();
+    score_images(run, samples.len(), seed, |i, rng| {
+        let (x, y) = samples[i];
+        let mut hook = ReferenceHook::new(schedule, run, fault_model, seed.wrapping_add(i as u64));
+        let (logits, tally) = infer_with_faults_naive(net, x, &mut hook, rng);
+        let attacked_ok = argmax(&logits) == y;
+        (net.predict(x) == y, attacked_ok, tally)
+    })
+}
+
+/// Scores `n` images on the [`par`] pool — `image(i, rng)` returns image
+/// `i`'s clean and attacked verdicts and fault tally — emitting one
+/// `image_scored` event each, and averages them into an outcome.
+fn score_images(
+    run: &InferenceRun,
+    n: usize,
+    seed: u64,
+    image: impl Fn(usize, &mut StdRng) -> (bool, bool, AppliedFaults) + Sync,
+) -> AttackOutcome {
+    let scores = par::map_seeded(n, seed ^ 0xD5, |i, rng| {
+        let (clean_ok, attacked_ok, tally) = image(i, rng);
         trace::emit(|| trace::Event::ImageScored {
             index: i as u64,
             clean_ok,
@@ -438,14 +636,13 @@ fn evaluate_attack_impl(
             duplicate: tally.duplicate,
             random: tally.random,
         });
-        ImageScore { clean_ok, attacked_ok, duplicate: tally.duplicate, random: tally.random }
+        (clean_ok, attacked_ok, tally)
     });
-    let total = scores.len();
-    let clean_correct = scores.iter().filter(|s| s.clean_ok).count();
-    let attacked_correct = scores.iter().filter(|s| s.attacked_ok).count();
-    let dup_sum: u64 = scores.iter().map(|s| s.duplicate).sum();
-    let rand_sum: u64 = scores.iter().map(|s| s.random).sum();
-    let denom = total.max(1) as f64;
+    let clean_correct = scores.iter().filter(|s| s.0).count();
+    let attacked_correct = scores.iter().filter(|s| s.1).count();
+    let dup_sum: u64 = scores.iter().map(|s| s.2.duplicate).sum();
+    let rand_sum: u64 = scores.iter().map(|s| s.2.random).sum();
+    let denom = n.max(1) as f64;
     AttackOutcome {
         clean_accuracy: clean_correct as f64 / denom,
         attacked_accuracy: attacked_correct as f64 / denom,
@@ -652,6 +849,73 @@ mod tests {
         );
         assert!(plan_multi_attack(&profile, &[("a", 5), ("b", 5)]).is_ok());
         assert!(plan_multi_attack(&profile, &[("a", 0)]).is_err());
+    }
+
+    #[test]
+    fn ops_in_cycle_inverts_cycle_of_op() {
+        for (cycles, ops) in [(1, 1), (3, 10), (10, 3), (7, 7), (13, 1_000), (5_400, 86_400)] {
+            let window = LayerWindow {
+                name: "w".into(),
+                kind: StageKind::Conv,
+                start_cycle: 40,
+                cycles,
+                ops,
+                outputs: 1,
+            };
+            let mut next = 0;
+            for cycle in window.start_cycle..window.end_cycle() {
+                let range = ops_in_cycle(&window, cycle);
+                assert_eq!(range.start, next, "cycles {cycles}, ops {ops}");
+                assert!(range.clone().all(|op| window.cycle_of_op(op) == cycle));
+                next = range.end;
+            }
+            assert_eq!(next, ops, "every op lands in exactly one cycle");
+        }
+    }
+
+    /// A run held at `v` for its whole length.
+    fn flat_run(schedule: &Schedule, v: f64) -> InferenceRun {
+        InferenceRun {
+            tdc_trace: Vec::new(),
+            victim_voltage: vec![v; schedule.total_cycles() as usize],
+            strike_cycles: Vec::new(),
+            triggered_cycle: None,
+            final_temp_c: 25.0,
+        }
+    }
+
+    #[test]
+    fn droop_that_only_conv_ops_feel_leaves_a_dense_victim_inert() {
+        let q = small_victim();
+        let schedule = Schedule::for_network(&q, &accel_config());
+        let model = FaultModel::paper();
+        // Bisect for the voltage whose delay factor is 1.45: full-scale
+        // (conv) ops can fault there, dense ops (path scale 0.85) cannot.
+        let (mut lo, mut hi) = (0.5, 1.0);
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if model.delay().factor(mid) > 1.45 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let (factor, deeper) = (model.delay().factor(hi), model.delay().factor(hi - 0.1));
+        assert!(model.may_fault(factor, factor, 1.0));
+        assert!(!model.may_fault(factor, factor, StrikeHook::DENSE_PATH_SCALE));
+        assert!(model.may_fault(deeper, deeper, StrikeHook::DENSE_PATH_SCALE));
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let images = Dataset::generate(6, &RenderParams::default(), &mut rng);
+        for (v, inert) in [(1.0, true), (hi, true), (hi - 0.1, false)] {
+            let run = flat_run(&schedule, v);
+            let plan = FaultPlan::new(&q, &schedule, &run, model);
+            assert_eq!(plan.is_inert(), inert, "v {v}");
+            let fast = evaluate_attack(&q, &schedule, &run, images.iter(), model, 9);
+            let naive = evaluate_attack_naive(&q, &schedule, &run, images.iter(), model, 9);
+            assert_eq!(fast, naive, "v {v}");
+            assert_eq!(fast.mean_faults_per_image == 0.0, inert, "v {v}");
+        }
     }
 
     #[test]

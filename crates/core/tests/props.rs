@@ -334,3 +334,131 @@ proptest! {
         prop_assert_eq!(naive, after);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Fault-sparse scoring (DESIGN.md §4): scoring through a per-run fault
+// plan that visits only the live ops must equal the per-MAC oracle bit
+// for bit — outcomes and `mac_fault` / `image_scored` events — on
+// synthetic voltage traces that sit on and around both safe voltages.
+
+use accel::fault::{DspTiming, FaultModel};
+use accel::schedule::Schedule;
+use deepstrike::attack::{
+    clean_predictions, evaluate_attack, evaluate_attack_cached, evaluate_attack_naive, FaultPlan,
+};
+use deepstrike::cosim::InferenceRun;
+use dnn::layers::{Conv2d, MaxPool2d};
+use dnn::tensor::Tensor;
+use pdn::delay::DelayModel;
+use rand::Rng;
+
+/// conv(1→3, k3) → tanh → pool → fc(48→12) → tanh → fc(12→10) on 10×10
+/// inputs, with its schedule: both MAC addressings and both path scales.
+fn scoring_rig() -> &'static (QuantizedNetwork, Schedule) {
+    static RIG: OnceLock<(QuantizedNetwork, Schedule)> = OnceLock::new();
+    RIG.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut net = Sequential::new("props_cnn");
+        net.push(Box::new(Conv2d::new("conv1", 1, 3, 3, &mut rng)));
+        net.push(Box::new(Tanh::new("t1")));
+        net.push(Box::new(MaxPool2d::new("pool1", 2)));
+        net.push(Box::new(Dense::new("fc1", 48, 12, &mut rng)));
+        net.push(Box::new(Tanh::new("t2")));
+        net.push(Box::new(Dense::new("fc2", 12, 10, &mut rng)));
+        let q = QuantizedNetwork::from_sequential(&net, &[1, 10, 10], QFormat::paper())
+            .expect("victim quantises");
+        let schedule =
+            Schedule::for_network(&q, &AccelConfig { stall_cycles: 20, ..AccelConfig::default() });
+        (q, schedule)
+    })
+}
+
+/// A recorded run at nominal voltage with `dips` pasted in; `len_frac`
+/// may cut the trace short of the schedule (ops past it never fault).
+fn synthetic_run(
+    schedule: &Schedule,
+    model: &FaultModel,
+    dips: &[(u64, u64, usize, f64)],
+    len_frac: f64,
+) -> InferenceRun {
+    let n = (schedule.total_cycles() as f64 * len_frac) as usize;
+    let safe = model.safe_voltage();
+    let early = model.early_stage().safe_voltage();
+    let mut victim_voltage = vec![1.0; n];
+    for &(start, len, kind, u) in dips {
+        let level = match kind {
+            0 => safe - 1e-12,
+            1 => safe + 1e-12,
+            2 => safe,
+            3 => early - 1e-12,
+            4 => early + 1e-12,
+            5 => early,
+            _ => 0.55 + 0.4 * u,
+        };
+        for v in victim_voltage.iter_mut().skip(start as usize).take(len as usize) {
+            *v = level;
+        }
+    }
+    InferenceRun {
+        tdc_trace: Vec::new(),
+        victim_voltage,
+        strike_cycles: Vec::new(),
+        triggered_cycle: None,
+        final_temp_c: 25.0,
+    }
+}
+
+/// `mac_fault` and `image_scored` events of a log, in order.
+fn scoring_events(log: &trace::TraceLog) -> Vec<trace::Event> {
+    log.events
+        .iter()
+        .filter(|e| matches!(e, trace::Event::MacFault { .. } | trace::Event::ImageScored { .. }))
+        .cloned()
+        .collect()
+}
+
+proptest! {
+    /// `evaluate_attack` and `evaluate_attack_cached` equal the per-MAC
+    /// oracle for the DDR and SDR fault models, on traces with dips at,
+    /// just above and just below both safe voltages (and with no dip at
+    /// all: an inert plan), and emit the same scoring events.
+    #[test]
+    fn fault_sparse_scoring_matches_per_mac_oracle(
+        dips in prop::collection::vec((0u64..420, 1u64..40, 0usize..9, 0.0f64..1.0), 0..6),
+        sdr in 0u8..2,
+        len_frac in 0.6f64..1.2,
+        image_seed in 0u64..1_000,
+        seed in 0u64..1_000_000,
+    ) {
+        let (q, schedule) = scoring_rig();
+        let timing = if sdr == 1 { DspTiming::paper_sdr() } else { DspTiming::paper_ddr() };
+        let model = FaultModel::new(timing, DelayModel::default());
+        let run = synthetic_run(schedule, &model, &dips, len_frac);
+        let mut rng = StdRng::seed_from_u64(image_seed);
+        let images: Vec<(Tensor, usize)> = (0..5)
+            .map(|_| {
+                let pixels = (0..100).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                (Tensor::from_vec(pixels, &[1, 10, 10]), rng.gen_range(0..10))
+            })
+            .collect();
+        let samples = || images.iter().map(|(x, y)| (x, *y));
+        let (naive, naive_log) = trace::capture(1 << 18, || {
+            evaluate_attack_naive(q, schedule, &run, samples(), model, seed)
+        });
+        let (fast, fast_log) = trace::capture(1 << 18, || {
+            evaluate_attack(q, schedule, &run, samples(), model, seed)
+        });
+        let clean = clean_predictions(q, samples());
+        let (cached, cached_log) = trace::capture(1 << 18, || {
+            evaluate_attack_cached(q, schedule, &run, samples(), model, seed, &clean)
+        });
+        prop_assert_eq!(naive, fast, "uncached outcome diverged");
+        prop_assert_eq!(naive, cached, "cached outcome diverged");
+        prop_assert_eq!(&naive_log, &fast_log, "uncached trace diverged");
+        prop_assert_eq!(scoring_events(&naive_log), scoring_events(&cached_log));
+        if FaultPlan::new(q, schedule, &run, model).is_inert() {
+            prop_assert_eq!(naive.mean_faults_per_image, 0.0, "an inert plan cannot fault");
+            prop_assert_eq!(naive.attacked_accuracy, naive.clean_accuracy);
+        }
+    }
+}

@@ -115,6 +115,82 @@ impl QLayer {
     }
 }
 
+impl QConv {
+    /// Output shape `[out_channels, oh, ow]` for an input map of shape
+    /// `[in_channels, h, w]` (valid convolution, stride 1).
+    pub fn output_shape(&self, input_shape: &[usize]) -> [usize; 3] {
+        let (h, w) = (input_shape[1], input_shape[2]);
+        [self.out_channels, h - self.kernel + 1, w - self.kernel + 1]
+    }
+
+    /// Pre-activation accumulators (bias plus every product), layout
+    /// `[out, oh, ow]` row-major.
+    ///
+    /// Weight-stationary: each weight is broadcast over a whole output
+    /// row at a time, so the inner loop is a contiguous, vectorisable
+    /// multiply-add. Integer sums are exact, so the result equals the
+    /// per-output loop nest's (the fault-injecting executor's oracle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not have `in_channels` channels.
+    pub fn accumulate(&self, input: &CodeMap) -> Vec<i32> {
+        assert_eq!(input.shape[0], self.in_channels, "conv input channels");
+        let (h, w) = (input.shape[1], input.shape[2]);
+        let [_, oh, ow] = self.output_shape(&input.shape);
+        let k = self.kernel;
+        let mut accs: Vec<i32> =
+            self.bias.iter().flat_map(|&b| std::iter::repeat_n(b, oh * ow)).collect();
+        let taps = self.in_channels * k * k;
+        for (plane, kernel) in accs.chunks_exact_mut(oh * ow).zip(self.weights.chunks_exact(taps)) {
+            for (tap, &wv) in kernel.iter().enumerate() {
+                let (ic, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+                let wv = i32::from(wv);
+                for (oy, out_row) in plane.chunks_exact_mut(ow).enumerate() {
+                    let in_row = &input.codes[(ic * h + oy + ky) * w + kx..][..ow];
+                    for (acc, &xv) in out_row.iter_mut().zip(in_row) {
+                        *acc += wv * i32::from(xv);
+                    }
+                }
+            }
+        }
+        accs
+    }
+}
+
+impl QDense {
+    /// Pre-activation accumulators (bias plus every product).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not hold `inputs` codes.
+    pub fn accumulate(&self, input: &CodeMap) -> Vec<i32> {
+        assert_eq!(input.codes.len(), self.inputs, "dense input size");
+        (0..self.outputs)
+            .map(|o| {
+                let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
+                row.iter()
+                    .zip(&input.codes)
+                    .fold(self.bias[o], |acc, (wv, xv)| acc + i32::from(*wv) * i32::from(*xv))
+            })
+            .collect()
+    }
+}
+
+/// Index of the largest logit; ties go to the lowest index.
+///
+/// # Panics
+///
+/// Panics if `logits` is empty.
+pub fn argmax(logits: &[i32]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by_key(|(i, &v)| (v, std::cmp::Reverse(*i)))
+        .map(|(i, _)| i)
+        .expect("non-empty logits")
+}
+
 /// A fully quantised feed-forward network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedNetwork {
@@ -277,49 +353,19 @@ impl QuantizedNetwork {
     }
 
     fn run_conv(&self, c: &QConv, input: &CodeMap) -> CodeMap {
-        assert_eq!(input.shape[0], c.in_channels, "conv input channels");
-        let (h, w) = (input.shape[1], input.shape[2]);
-        let (oh, ow) = (h - c.kernel + 1, w - c.kernel + 1);
-        let mut codes = vec![0i8; c.out_channels * oh * ow];
-        for oc in 0..c.out_channels {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc: i32 = c.bias[oc];
-                    for ic in 0..c.in_channels {
-                        for ky in 0..c.kernel {
-                            for kx in 0..c.kernel {
-                                let wv = c.weights
-                                    [((oc * c.in_channels + ic) * c.kernel + ky) * c.kernel + kx];
-                                let xv = input.codes[(ic * h + oy + ky) * w + ox + kx];
-                                acc += i32::from(wv) * i32::from(xv);
-                            }
-                        }
-                    }
-                    codes[(oc * oh + oy) * ow + ox] = self.finish(acc, c.activation);
-                }
-            }
-        }
-        CodeMap { shape: vec![c.out_channels, oh, ow], codes }
+        let codes = c.accumulate(input).into_iter().map(|acc| self.activate(acc, c.activation));
+        CodeMap { shape: c.output_shape(&input.shape).to_vec(), codes: codes.collect() }
     }
 
     fn run_dense(&self, d: &QDense, input: &CodeMap) -> CodeMap {
-        assert_eq!(input.codes.len(), d.inputs, "dense input size");
-        let mut codes = vec![0i8; d.outputs];
-        for (o, code) in codes.iter_mut().enumerate() {
-            let mut acc: i32 = d.bias[o];
-            let row = &d.weights[o * d.inputs..(o + 1) * d.inputs];
-            for (wv, xv) in row.iter().zip(&input.codes) {
-                acc += i32::from(*wv) * i32::from(*xv);
-            }
-            *code = self.finish(acc, d.activation);
-        }
-        CodeMap { shape: vec![d.outputs], codes }
+        let codes = d.accumulate(input).into_iter().map(|acc| self.activate(acc, d.activation));
+        CodeMap { shape: vec![d.outputs], codes: codes.collect() }
     }
 
     /// Accumulator → activation code. For `Activation::None` the saturated
     /// accumulator is rescaled to code range; logits should instead be read
     /// through [`Self::infer_logits`], which keeps full precision.
-    fn finish(&self, acc: i32, act: Activation) -> i8 {
+    pub fn activate(&self, acc: i32, act: Activation) -> i8 {
         match act {
             Activation::Tanh => self.tanh_code(acc),
             Activation::None => {
@@ -342,19 +388,7 @@ impl QuantizedNetwork {
             if last {
                 // Keep the final accumulators at full precision.
                 return match stage {
-                    QLayer::Dense(d) => {
-                        assert_eq!(map.codes.len(), d.inputs, "dense input size");
-                        (0..d.outputs)
-                            .map(|o| {
-                                let mut acc = d.bias[o];
-                                let row = &d.weights[o * d.inputs..(o + 1) * d.inputs];
-                                for (wv, xv) in row.iter().zip(&map.codes) {
-                                    acc += i32::from(*wv) * i32::from(*xv);
-                                }
-                                acc
-                            })
-                            .collect()
-                    }
+                    QLayer::Dense(d) => d.accumulate(&map),
                     _ => {
                         let out = self.run_stage(stage, &map);
                         out.codes.iter().map(|&c| i32::from(c)).collect()
@@ -368,13 +402,7 @@ impl QuantizedNetwork {
 
     /// Predicted class for one input.
     pub fn predict(&self, input: &Tensor) -> usize {
-        let logits = self.infer_logits(input);
-        let predicted = logits
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, &v)| (v, std::cmp::Reverse(*i)))
-            .map(|(i, _)| i)
-            .expect("non-empty logits");
+        let predicted = argmax(&self.infer_logits(input));
         trace::emit(|| trace::Event::Inference { predicted: predicted as u32 });
         predicted
     }
@@ -701,6 +729,36 @@ mod tests {
             assert!(c >= prev, "tanh code must be monotone");
             prev = c;
         }
+    }
+
+    #[test]
+    fn conv_accumulate_matches_the_per_output_loop_nest() {
+        let (_, q) = quantized_lenet(4);
+        let QLayer::Conv(c) = &q.layers()[2] else { panic!("conv2 is stage 2") };
+        let (h, w) = (12, 12);
+        let codes: Vec<i8> = (0..c.in_channels * h * w).map(|i| (i * 37 % 255) as i8).collect();
+        let input = CodeMap { shape: vec![c.in_channels, h, w], codes };
+        let [oc_n, oh, ow] = c.output_shape(&input.shape);
+        let k = c.kernel;
+        let mut expected = Vec::new();
+        for oc in 0..oc_n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = c.bias[oc];
+                    for ic in 0..c.in_channels {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let wv = c.weights[((oc * c.in_channels + ic) * k + ky) * k + kx];
+                                let xv = input.codes[(ic * h + oy + ky) * w + ox + kx];
+                                acc += i32::from(wv) * i32::from(xv);
+                            }
+                        }
+                    }
+                    expected.push(acc);
+                }
+            }
+        }
+        assert_eq!(c.accumulate(&input), expected);
     }
 
     #[test]

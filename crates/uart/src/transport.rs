@@ -161,12 +161,18 @@ impl TransportClient {
     /// disconnect windows — the transport *rides out* outages shorter
     /// than its total retry span.
     ///
+    /// A 16-bit frame CRC lets about one damaged frame in 65,536 through.
+    /// Two such false accepts are recognisable, and both are retransmitted
+    /// like a lost exchange: an [`ERR_PROTOCOL`] answer (this client only
+    /// sends well-formed requests, so the shell decoded a damaged copy —
+    /// which never ran) and a response that fails to decode (the shell's
+    /// replay cache answers the retransmission without re-executing).
+    ///
     /// # Errors
     ///
     /// [`UartError::LinkDown`] once every attempt is exhausted;
-    /// [`UartError::Remote`] if the shell answered with an error code;
-    /// [`UartError::MalformedMessage`] if a verified response frame fails
-    /// protocol decoding.
+    /// [`UartError::Remote`] if the shell answered with any other error
+    /// code.
     pub fn transact(&mut self, command: &Command, mut pump: impl FnMut()) -> Result<Response> {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
@@ -179,7 +185,7 @@ impl TransportClient {
                 trace::emit(|| trace::Event::LinkRetry { seq: u64::from(seq), attempt });
             }
             self.endpoint.send(&wire);
-            for _ in 0..budget {
+            'pump: for _ in 0..budget {
                 pump();
                 self.endpoint.advance(1);
                 let bytes = self.endpoint.recv_all();
@@ -188,11 +194,13 @@ impl TransportClient {
                     if kind != KIND_RESPONSE || rseq != seq {
                         continue; // stale answer to an earlier retransmission
                     }
-                    self.stats.exchanges += 1;
-                    return match Response::from_bytes(inner)? {
-                        Response::Error(code) => Err(UartError::Remote(code)),
-                        r => Ok(r),
+                    let result = match Response::from_bytes(inner) {
+                        Ok(Response::Error(ERR_PROTOCOL)) | Err(_) => break 'pump,
+                        Ok(Response::Error(code)) => Err(UartError::Remote(code)),
+                        Ok(r) => Ok(r),
                     };
+                    self.stats.exchanges += 1;
+                    return result;
                 }
             }
             budget = budget.saturating_mul(2).min(self.config.backoff_cap.max(1));
@@ -522,6 +530,73 @@ mod tests {
             })
             .unwrap();
         assert_eq!(r, Response::Trace(vec![3, 4]));
+    }
+
+    /// Which leg of an exchange a man-in-the-middle rewrites.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Leg {
+        Request,
+        Response,
+    }
+
+    /// Sends `command` through a relay that rewrites the first `leg`
+    /// frame's payload into undecodable bytes and re-frames it, so the
+    /// damage passes the frame CRC: a CRC-16 false accept.
+    fn transact_through_false_accept(
+        leg: Leg,
+        command: &Command,
+        fpga: &mut CountingFpga,
+    ) -> (Result<Response>, TransportStats, TransportShell) {
+        let (a, mut relay_client) = Endpoint::pair();
+        let (mut relay_shell, d) = Endpoint::pair();
+        let mut client = TransportClient::new(a);
+        let mut shell = TransportShell::new(d);
+        let (mut up, mut down) = (FrameDecoder::new(), FrameDecoder::new());
+        let mut armed = true;
+        let mut relay = |frame: Vec<u8>, this_leg: Leg, to: &mut Endpoint| {
+            let (seq, kind, inner) = unwrap(&frame).unwrap();
+            let inner = if armed && this_leg == leg {
+                armed = false;
+                vec![0xEE]
+            } else {
+                inner.to_vec()
+            };
+            to.send(&encode_frame(&wrap(seq, kind, &inner)));
+        };
+        let result = client.transact(command, || {
+            for frame in up.push_bytes(&relay_client.recv_all()) {
+                relay(frame, Leg::Request, &mut relay_shell);
+            }
+            shell.poll(fpga);
+            for frame in down.push_bytes(&relay_shell.recv_all()) {
+                relay(frame, Leg::Response, &mut relay_client);
+            }
+        });
+        (result, client.stats(), shell)
+    }
+
+    #[test]
+    fn false_accepted_request_is_retransmitted_and_runs_once() {
+        let mut fpga = CountingFpga { trace: vec![5, 6, 7], ..CountingFpga::default() };
+        let command = Command::ReadTrace { max_samples: 2 };
+        let (result, stats, shell) =
+            transact_through_false_accept(Leg::Request, &command, &mut fpga);
+        assert_eq!(result, Ok(Response::Trace(vec![5, 6])));
+        assert_eq!(stats.retransmissions, 1);
+        assert_eq!(fpga.trace_reads, 1, "the damaged request never ran");
+        assert_eq!(shell.replayed(), 0, "the genuine request is not a replay");
+    }
+
+    #[test]
+    fn undecodable_response_is_retransmitted_and_replayed() {
+        let mut fpga = CountingFpga { trace: vec![5, 6, 7], ..CountingFpga::default() };
+        let command = Command::ReadTrace { max_samples: 2 };
+        let (result, stats, shell) =
+            transact_through_false_accept(Leg::Response, &command, &mut fpga);
+        assert_eq!(result, Ok(Response::Trace(vec![5, 6])));
+        assert_eq!(stats.retransmissions, 1);
+        assert_eq!(fpga.trace_reads, 1, "exactly-once execution");
+        assert_eq!(shell.replayed(), 1, "the retransmission is answered from the cache");
     }
 
     #[test]
